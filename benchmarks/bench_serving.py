@@ -8,13 +8,11 @@ the batching column — with ``max_batch=1`` every request is its own
 LU call, while the batched settings collapse the same traffic into a
 handful of stacks (the serving analogue of the paper's slice sweep).
 
-A ``backend=process`` row repeats the best batched setting with the
-micro-batches sharded across worker processes (see
-:mod:`repro.parallel`), and a separate *assembly-bound* section times
-``evaluate_requests`` directly on a workload of distinct large systems
-— the regime the process backend exists for — comparing the traced
-assembly wall time across backends (asserted to improve only when the
-host actually has 2+ usable cores).
+A separate *assembly-bound* section times ``evaluate_requests``
+directly on a stack of distinct large systems and records the traced
+assembly and solve wall times — the paper's question of which stage
+dominates.  The stack is large enough to be sharded across threads on
+a multi-core host.
 
 A final *deadline pressure* row runs the same traffic under a
 microscopic per-request deadline: every request expires in the queue
@@ -39,9 +37,8 @@ import os
 import threading
 import time
 
-from repro.core.api import AnalyzeRequest, evaluate_requests
+from repro.core.api import AnalyzeRequest, evaluate_requests, usable_cores
 from repro.errors import DeadlineExceededError
-from repro.parallel import make_backend
 from repro.serve import AnalysisService
 
 #: (max_batch, max_wait_seconds) settings swept by the benchmark.
@@ -85,27 +82,17 @@ def _stage_breakdown(snapshot):
     return breakdown
 
 
-def _usable_cores():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
-
-
-def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
+def drive(max_batch, max_wait, *, deadline_ms=None,
           n_clients=N_CLIENTS, requests_per_client=REQUESTS_PER_CLIENT):
     """Run one setting; returns the JSON summary row.
 
     With ``deadline_ms`` set, every request carries that budget and a
     :class:`DeadlineExceededError` is an expected outcome rather than a
-    failure.  ``backend`` selects the execution backend the service
-    solves its micro-batches on (``"inline"`` or ``"process"``).
+    failure.
     """
     service = AnalysisService(max_batch=max_batch, max_wait=max_wait,
                               cache_size=256, n_workers=2, queue_limit=1024,
-                              default_deadline_ms=deadline_ms,
-                              exec_backend=backend, exec_procs=2)
+                              default_deadline_ms=deadline_ms)
     errors = []
     deadline_hits = [0] * n_clients
 
@@ -135,9 +122,10 @@ def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
 
     total = n_clients * requests_per_client
     latency = snapshot["latency_ms"]
-    exec_stats = snapshot["exec_backend"]
     return {
-        "backend": backend,
+        # Part of the row key of the committed trend baselines
+        # (benchmarks/check_trend.py); every row solves in-process.
+        "backend": "inline",
         "max_batch": max_batch,
         "max_wait_ms": 1e3 * max_wait,
         "deadline_ms": deadline_ms,
@@ -157,11 +145,6 @@ def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
         "cancelled": snapshot["requests"]["cancelled"],
         "deadline_misses_seen_by_clients": sum(deadline_hits),
         "stages": _stage_breakdown(snapshot),
-        "exec": {
-            "worker_crashes": exec_stats.get("worker_crashes", 0),
-            "inline_fallbacks": exec_stats.get("inline_fallbacks", 0),
-            "sharded_requests": exec_stats.get("sharded_requests", 0),
-        },
     }
 
 
@@ -172,9 +155,6 @@ def run_sweep(*, smoke=False):
     rows = [drive(max_batch, max_wait, n_clients=n_clients,
                   requests_per_client=per_client)
             for max_batch, max_wait in settings]
-    # The best batched setting again, sharded across worker processes.
-    rows.append(drive(settings[-1][0], settings[-1][1], backend="process",
-                      n_clients=n_clients, requests_per_client=per_client))
     rows.append(drive(settings[-1][0], settings[-1][1],
                       deadline_ms=PRESSURE_DEADLINE_MS, n_clients=n_clients,
                       requests_per_client=per_client))
@@ -190,13 +170,12 @@ SMOKE_ASSEMBLY_BOUND_REQUESTS = 8
 
 
 def assembly_bound_comparison(*, smoke=False):
-    """Time inline vs process execution on an assembly-bound batch.
+    """Time an assembly-bound batch through ``evaluate_requests``.
 
-    Returns a comparison dict for the artifact: per-backend traced
-    assembly wall time (the envelope the stage hook reports, best of
-    three runs), total wall time, and the process backend's health
-    counters — the acceptance signal that sharding actually reduced
-    the assembly stage on multi-core hosts.
+    Returns a dict for the artifact with one row: the traced assembly
+    and solve wall times (the envelopes the stage hook reports, from
+    the run with the least assembly time of three) and the total wall
+    time.
     """
     n_requests = SMOKE_ASSEMBLY_BOUND_REQUESTS if smoke else ASSEMBLY_BOUND_REQUESTS
     requests = [
@@ -206,7 +185,7 @@ def assembly_bound_comparison(*, smoke=False):
         for index in range(n_requests)
     ]
 
-    def measure(backend):
+    def measure():
         best = None
         for _ in range(3):
             spans = {}
@@ -216,8 +195,7 @@ def assembly_bound_comparison(*, smoke=False):
                 spans[stage] += end - start
 
             started = time.perf_counter()
-            outcomes = evaluate_requests(requests, stage_hook=hook,
-                                         backend=backend)
+            outcomes = evaluate_requests(requests, stage_hook=hook)
             wall = time.perf_counter() - started
             assert not any(isinstance(o, Exception) for o in outcomes)
             run = {"assembly_s": round(spans.get("assembly", 0.0), 6),
@@ -227,25 +205,11 @@ def assembly_bound_comparison(*, smoke=False):
                 best = run
         return best
 
-    inline_row = dict(measure(None), backend="inline")
-    process = make_backend("process", n_procs=2)
-    try:
-        process.solve(requests[:2])  # warm the pool out of the timing
-        process_row = dict(measure(process), backend="process")
-        stats = process.stats()
-    finally:
-        process.close()
-    process_row["exec"] = {key: stats[key] for key in
-                           ("procs", "worker_crashes", "inline_fallbacks",
-                            "start_failures", "sharded_requests")}
     return {
         "n_requests": n_requests,
         "n_panels": ASSEMBLY_BOUND_PANELS,
-        "usable_cores": _usable_cores(),
-        "rows": [inline_row, process_row],
-        "assembly_speedup": round(
-            inline_row["assembly_s"] / max(process_row["assembly_s"], 1e-9), 3
-        ),
+        "usable_cores": usable_cores(),
+        "rows": [measure()],
     }
 
 
@@ -273,14 +237,6 @@ def check_rows(rows):
     unbatched = normal[0]
     for summary in normal[1:]:
         assert summary["batched_solves"] <= unbatched["batched_solves"]
-    # The process-backend row must have served the same traffic
-    # healthily: real sharded work, no crashes, no silent fallbacks.
-    process_rows = [row for row in normal if row["backend"] == "process"]
-    assert process_rows
-    for summary in process_rows:
-        assert summary["exec"]["worker_crashes"] == 0
-        assert summary["exec"]["inline_fallbacks"] == 0
-        assert summary["exec"]["sharded_requests"] > 0
     # Deadline pressure: every request expires in the queue, every
     # expiry reaches its client as a 504-equivalent error, and no
     # expired request ever costs a solve.
@@ -290,23 +246,10 @@ def check_rows(rows):
 
 
 def check_assembly_bound(comparison):
-    """Invariants for the assembly-bound backend comparison."""
-    inline_row, process_row = comparison["rows"]
-    assert inline_row["backend"] == "inline"
-    assert process_row["backend"] == "process"
-    assert inline_row["assembly_s"] > 0.0
-    exec_stats = process_row["exec"]
-    assert exec_stats["worker_crashes"] == 0
-    assert exec_stats["inline_fallbacks"] == 0
-    assert exec_stats["start_failures"] == 0
-    assert exec_stats["sharded_requests"] >= comparison["n_requests"]
-    if comparison["usable_cores"] >= 2:
-        # The acceptance signal: with 2+ worker processes on a host
-        # that can actually run them concurrently, sharding reduces
-        # the traced assembly-stage wall time.  On a 1-core host the
-        # rows still land in the artifact, but the comparison is
-        # physically meaningless, so it is not asserted.
-        assert process_row["assembly_s"] < inline_row["assembly_s"]
+    """Invariants for the assembly-bound section."""
+    (row,) = comparison["rows"]
+    assert 0.0 < row["assembly_s"] < row["wall_s"]
+    assert 0.0 < row["solve_s"] < row["wall_s"]
 
 
 def test_serving_throughput(benchmark):

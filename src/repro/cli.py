@@ -121,22 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="availability/latency objective in (0, 1); "
                                 "burn rate 1.0 = burning exactly the error "
                                 "budget (default 0.99)")
-    sub_serve.add_argument("--exec-backend", choices=["inline", "process"],
-                           default=None,
-                           help="where micro-batches are assembled and "
-                                "solved: inline in the worker thread, or "
-                                "sharded across worker processes (default: "
-                                "the REPRO_EXEC_BACKEND env var, else inline)")
-    sub_serve.add_argument("--exec-procs", type=int, default=None,
-                           metavar="N",
-                           help="worker-process count for --exec-backend "
-                                "process (default: REPRO_EXEC_PROCS, else "
-                                "2..4 from the core count)")
-    sub_serve.add_argument("--exec-solve", choices=["worker", "parent"],
-                           default=None,
-                           help="process backend only: run the batched LU in "
-                                "each worker (default) or assemble in workers "
-                                "and solve one batched LU in the parent")
     sub_serve.add_argument("--assembly-kernel",
                            choices=["reference", "fused", "native"],
                            default=None,
@@ -310,16 +294,6 @@ def run_serve(arguments) -> int:
 
     max_wait = (None if arguments.max_wait_ms is None
                 else arguments.max_wait_ms / 1e3)
-    exec_backend = arguments.exec_backend
-    if exec_backend == "process" and arguments.exec_solve is not None:
-        from repro.parallel import make_backend
-
-        # --exec-solve needs the explicit constructor; the service
-        # still owns nothing here, so close it ourselves below.
-        exec_backend = make_backend(
-            "process", n_procs=arguments.exec_procs,
-            solve_in_worker=arguments.exec_solve != "parent",
-        )
     service = AnalysisService(
         max_batch=arguments.max_batch, max_wait=max_wait,
         cache_size=arguments.cache_size, n_workers=arguments.workers,
@@ -330,7 +304,6 @@ def run_serve(arguments) -> int:
         logger=make_logger(arguments.log_format),
         slo_latency_ms=arguments.slo_latency_ms,
         slo_target=arguments.slo_target,
-        exec_backend=exec_backend, exec_procs=arguments.exec_procs,
         assembly_kernel=arguments.assembly_kernel,
         jobs_dir=arguments.jobs_dir, job_slots=arguments.job_slots,
         autotune=arguments.autotune,
@@ -341,10 +314,6 @@ def run_serve(arguments) -> int:
     policy = service.policy
     deadline = ("none" if service.default_deadline_ms is None
                 else f"{service.default_deadline_ms:g} ms")
-    exec_stats = service.metrics_snapshot()["exec_backend"]
-    exec_info = exec_stats["name"]
-    if exec_stats.get("procs"):
-        exec_info += f"x{exec_stats['procs']}"
     jobs_info = ("off" if service.jobs is None
                  else f"{arguments.jobs_dir} x{arguments.job_slots}")
     print(f"repro serve listening on http://{arguments.host}:{server.port}  "
@@ -353,7 +322,6 @@ def run_serve(arguments) -> int:
           f"cache={service.cache.capacity}, workers={arguments.workers}, "
           f"queue_limit={arguments.queue_limit}, "
           f"default_deadline={deadline}, "
-          f"exec_backend={exec_info}, "
           f"assembly_kernel={service.assembly_kernel}, "
           f"jobs={jobs_info}, "
           f"autotune={'off' if service.autotuner is None else service.autotuner.config.mode}, "
@@ -367,8 +335,6 @@ def run_serve(arguments) -> int:
     finally:
         server.stop()
         drained = service.close()
-        if not isinstance(exec_backend, (str, type(None))):
-            exec_backend.close()  # constructed above for --exec-solve
         print("drained and stopped" if drained else "stopped (drain timed out)",
               flush=True)
     return 0

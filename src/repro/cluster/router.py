@@ -782,9 +782,8 @@ class ClusterRouter:
         replica's tree is pulled live over ``GET /debug/trace/<id>``
         and re-anchored into the successful ``proxy_attempt`` span's
         bounds (:func:`repro.obs.context.anchor_remote_spans`), so
-        every hop shares the router's monotonic clock.  Worker-shard
-        spans (``*_shard``) become their own hop.  Each hop carries the
-        W/A/L/O reduction with ``O = W - L`` by construction.
+        every hop shares the router's monotonic clock.  Each hop carries
+        the W/A/L/O reduction with ``O = W - L`` by construction.
         """
         if trace_id is None:
             recent = self.tracer.recent(1)
@@ -813,22 +812,11 @@ class ClusterRouter:
                 anchored = anchor_remote_spans(remote, proxy.start, proxy.end)
                 self.metrics.increment("traces_stitched")
         if anchored:
-            shard = [span for span in anchored[1:]
-                     if span.name.endswith("_shard")]
-            local = [span for span in anchored
-                     if not span.name.endswith("_shard")]
             hops.append({
                 "hop": f"replica {replica_name}",
-                "spans": [self._span_dict(span, origin) for span in local],
-                "walo": self._hop_walo(local),
+                "spans": [self._span_dict(span, origin) for span in anchored],
+                "walo": self._hop_walo(anchored),
             })
-            if shard:
-                hops.append({
-                    "hop": f"workers {replica_name}",
-                    "spans": [self._span_dict(span, origin)
-                              for span in shard],
-                    "walo": self._hop_walo(shard),
-                })
         return {
             "trace_id": trace.trace_id,
             "outcome": trace.outcome,
@@ -885,15 +873,6 @@ class ClusterRouter:
                 for span in hop["spans"][1:]
                 if span["end"] is not None and span["end"] > span["start"]
             ]
-            # The worker hop has no root span of its own: every span is
-            # a shard segment.
-            if hop["hop"].startswith("workers"):
-                segments = [
-                    GanttSegment(start=span["start"], end=span["end"],
-                                 kind=span["name"], label=span["name"])
-                    for span in hop["spans"]
-                    if span["end"] is not None and span["end"] > span["start"]
-                ]
             rows.append(GanttRow(resource=hop["hop"], segments=segments))
         chart = GanttTrace(
             name=f"trace {document['trace_id'][:12]} ({document['outcome']})",

@@ -24,8 +24,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
+import os
 import time
-from typing import List, Optional, Sequence, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -182,6 +185,35 @@ REQUEST_FIELDS = (
     "airfoil", "alpha_degrees", "reynolds", "n_panels", "precision", "use_head",
 )
 
+#: Largest ``n_panels`` a request may ask for.  Assembly builds an
+#: ``(n, n + 1, 2)`` float64 intermediate, 16·n² bytes, so this cap
+#: holds one request's to 16 MiB and the stacked ``n x n`` systems of
+#: a full 64-request micro-batch to 0.5 GiB.  The paper's systems have
+#: 200 panels.
+MAX_PANELS = 1024
+
+
+def _validate_n_panels(value) -> int:
+    """An even integer panel count in ``[4, MAX_PANELS]``, or ServeError.
+
+    Booleans and non-integral numbers are rejected rather than coerced
+    (``true`` is not 1 and ``200.7`` is not 200), and odd counts are
+    rejected because the NACA and genome outlines need an even number
+    of panels.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ServeError(f"n_panels must be an integer, got {value!r}")
+    n_panels = int(value)
+    if n_panels % 2 or not 4 <= n_panels <= MAX_PANELS:
+        raise ServeError(
+            f"n_panels must be an even number in [4, {MAX_PANELS}], "
+            f"got {n_panels}"
+        )
+    return n_panels
+
+
 #: Transport-level deadline field accepted alongside a request payload.
 #: It is *not* part of :class:`AnalyzeRequest`: the deadline describes
 #: how long the caller is willing to wait, never what is computed, so
@@ -267,10 +299,7 @@ class AnalyzeRequest:
                     f"reynolds must be positive and finite (or null), got {self.reynolds}"
                 )
             object.__setattr__(self, "reynolds", reynolds)
-        n_panels = int(self.n_panels)
-        if n_panels < 3:
-            raise ServeError(f"n_panels must be at least 3, got {self.n_panels}")
-        object.__setattr__(self, "n_panels", n_panels)
+        object.__setattr__(self, "n_panels", _validate_n_panels(self.n_panels))
         try:
             object.__setattr__(self, "precision", Precision.parse(self.precision))
         except (ValueError, TypeError) as error:
@@ -366,12 +395,12 @@ class AnalyzeRequest:
 class SolvedSystem:
     """A solved panel system, ready for post-processing.
 
-    This is the unit of work an execution backend returns: the
-    assembled-and-solved state of one request *before* the viscous pass
-    and response shaping.  ``gamma`` is the expanded circulation row in
-    the system's native precision (the post-process step widens it to
-    ``float64``, exactly); ``constant`` is the boundary-condition
-    constant from the closure row.
+    This is what :func:`solve_request_systems` returns per request: the
+    assembled-and-solved state *before* the viscous pass and response
+    shaping.  ``gamma`` is the expanded circulation row in the system's
+    native precision (the post-process step widens it to ``float64``,
+    exactly); ``constant`` is the boundary-condition constant from the
+    closure row.
     """
 
     airfoil: Airfoil
@@ -381,34 +410,63 @@ class SolvedSystem:
     constant: float
 
 
-def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
-                          stage_hook=None, kernel=None) -> List:
-    """Assemble and LU-solve many requests (the backend work unit).
+#: Fewest systems each thread must get before a stack is split across
+#: threads.  On a 2-core host two threads already solve 8 n=200 systems
+#: about 30% faster than one (the "Sharding" table in
+#: ``docs/serving.md``), while the 1-2 request micro-batches of light
+#: serving traffic stay in the calling thread.
+MIN_SYSTEMS_PER_SHARD = 4
 
-    Requests are grouped by system size and dtype; each group is
-    assembled into one ``(batch, m, m)`` stack and solved with
-    :func:`repro.linalg.batched_lu_factor` — the code path the paper's
-    hardware timings describe.  This function is the contract an
-    :class:`repro.parallel.ExecutionBackend` implements: the inline
-    backend calls it directly, and the process backend runs it (or its
-    assembly half) inside worker processes, shard by shard.  The
-    batched kernels are elementwise across the stack, which is why
-    shard-wise solving produces bit-identical numbers.
 
-    ``stage_hook`` receives ``(stage, start, end, count)`` stamps:
-    ``"assembly"`` once for the whole assemble loop and ``"solve"`` per
-    batched LU call.  ``kernel`` selects the influence-matrix
-    implementation (``reference`` / ``fused`` / ``native``; ``None``
-    defers to ``REPRO_ASSEMBLY_KERNEL`` — see ``docs/kernels.md``).
+def usable_cores() -> int:
+    """CPUs this process may run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
-    Returns one entry per request, in order: a :class:`SolvedSystem` on
-    success, or the :class:`ReproError` that request raised.
+
+def plan_shards(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
+    """Cut ``range(n_items)`` into at most *n_shards* contiguous chunks.
+
+    Chunks are balanced to within one item and never empty, so the
+    shard count adapts to small batches (a 3-item stack over 4 shards
+    yields 3 single-item chunks).
     """
-    def _stage(name: str, start: float, end: float, count: int) -> None:
-        if stage_hook is not None:
-            stage_hook(name, start, end, count)
+    n_shards = max(1, min(int(n_shards), int(n_items)))
+    base, extra = divmod(int(n_items), n_shards)
+    bounds = []
+    start = 0
+    for index in range(n_shards):
+        stop = start + base + (1 if index < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
 
-    requests = list(requests)
+
+def merge_envelope(spans: Sequence[Tuple[float, float]]
+                   ) -> Optional[Tuple[float, float]]:
+    """The ``(min_start, max_end)`` envelope of concurrent spans.
+
+    This is the *wall* time of a stage running on several threads at
+    once — the number the paper's W/A/L/O tables put in the ``A`` and
+    ``L`` columns — as opposed to the sum of per-shard durations,
+    which measures CPU work and exceeds wall time whenever shards
+    overlap.
+    """
+    if not spans:
+        return None
+    return min(start for start, _ in spans), max(end for _, end in spans)
+
+
+def _assemble_and_solve(requests: Sequence[AnalyzeRequest], kernel) -> tuple:
+    """Assemble and LU-solve one contiguous run of requests.
+
+    Returns ``(results, stamps)``: one entry per request as
+    :func:`solve_request_systems` documents, and ``{stage: [(start,
+    end, count), ...]}`` for this shard's ``assembly`` loop and each
+    of its batched LU calls.
+    """
     results: List = [None] * len(requests)
     groups: dict = {}
     assembly_started = time.monotonic()
@@ -420,21 +478,25 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
             results[index] = error
             continue
         key = (system.n_unknowns, system.matrix.dtype)
-        groups.setdefault(key, []).append((index, request, system))
-    _stage("assembly", assembly_started, time.monotonic(), len(requests))
+        groups.setdefault(key, []).append((index, system))
+    stamps = {"assembly": [(assembly_started, time.monotonic(),
+                            len(requests))]}
+    solved = []
     for members in groups.values():
-        matrices = np.stack([system.matrix for _, _, system in members])
-        rhs = np.stack([system.rhs for _, _, system in members])
+        matrices = np.stack([system.matrix for _, system in members])
+        rhs = np.stack([system.rhs for _, system in members])
         solve_started = time.monotonic()
         try:
-            unknowns = batched_lu_solve(batched_lu_factor(matrices, overwrite=True), rhs)
+            solved.append((members, batched_lu_solve(
+                batched_lu_factor(matrices, overwrite=True), rhs)))
         except ReproError as error:
-            for index, _, _ in members:
+            for index, _ in members:
                 results[index] = error
-            continue
         finally:
-            _stage("solve", solve_started, time.monotonic(), len(members))
-        for (index, request, system), row in zip(members, unknowns):
+            stamps.setdefault("solve", []).append(
+                (solve_started, time.monotonic(), len(members)))
+    for members, unknowns in solved:
+        for (index, system), row in zip(members, unknowns):
             try:
                 gamma, constant = system.expand_solution(row)
             except ReproError as error:
@@ -444,29 +506,75 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
                 airfoil=system.airfoil, freestream=system.freestream,
                 closure=system.closure, gamma=gamma, constant=constant,
             )
+    return results, stamps
+
+
+def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
+                          stage_hook=None, kernel=None) -> List:
+    """Assemble and LU-solve many requests.
+
+    Requests are grouped by system size and dtype; each group is
+    assembled into one ``(batch, m, m)`` stack and solved with
+    :func:`repro.linalg.batched_lu_factor` — the code path the paper's
+    hardware timings describe.  When every usable core
+    (:func:`usable_cores`) would get at least
+    :data:`MIN_SYSTEMS_PER_SHARD` requests, the stack is cut into
+    contiguous shards (:func:`plan_shards`) solved on a per-call thread
+    pool; numpy's array operations and the ``ctypes`` native kernel
+    release the GIL, so the shards overlap on a multi-core host.  The
+    batched kernels are elementwise across the stack, so a sharded
+    solve is bit-identical to an unsharded one.  The one difference is
+    blast radius: a group that fails to factor fails only within its
+    shard.
+
+    ``stage_hook`` receives ``(stage, start, end, count)`` stamps from
+    the calling thread: one ``"assembly"`` and one ``"solve"`` span,
+    each the wall-time envelope (:func:`merge_envelope`) of that stage
+    across shards and size groups.  ``kernel`` selects the
+    influence-matrix implementation (``reference`` / ``fused`` /
+    ``native``; ``None`` defers to ``REPRO_ASSEMBLY_KERNEL`` — see
+    ``docs/kernels.md``).
+
+    Returns one entry per request, in order: a :class:`SolvedSystem` on
+    success, or the :class:`ReproError` that request raised.
+    """
+    requests = list(requests)
+    n_shards = min(usable_cores(), len(requests) // MIN_SYSTEMS_PER_SHARD)
+    if n_shards <= 1:
+        shards = [_assemble_and_solve(requests, kernel)]
+    else:
+        with ThreadPoolExecutor(max_workers=n_shards) as pool:
+            futures = [
+                pool.submit(_assemble_and_solve, requests[start:stop], kernel)
+                for start, stop in plan_shards(len(requests), n_shards)
+            ]
+            shards = [future.result() for future in futures]
+    results: List = []
+    stamps: dict = {}
+    for shard_results, shard_stamps in shards:
+        results.extend(shard_results)
+        for stage, spans in shard_stamps.items():
+            stamps.setdefault(stage, []).extend(spans)
+    if stage_hook is not None:
+        for stage, spans in stamps.items():
+            start, end = merge_envelope([span[:2] for span in spans])
+            stage_hook(stage, start, end, sum(span[2] for span in spans))
     return results
 
 
 def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
-                      stage_hook=None, backend=None, kernel=None) -> List:
+                      stage_hook=None, kernel=None) -> List:
     """Evaluate many requests through the batched assembly/LU path.
 
-    The assembly + batched LU runs on an execution backend (see
-    :mod:`repro.parallel`): ``backend=None`` uses the process-wide
-    default — inline unless ``REPRO_EXEC_BACKEND=process`` — and an
-    :class:`~repro.parallel.ExecutionBackend` instance is used as
-    given.  Responses are byte-identical across backends: the batched
-    kernels are elementwise across the stack, so sharding a batch over
-    worker processes changes where the arithmetic happens, never its
-    result.  The viscous pass and response shaping always run in the
-    calling thread.
+    The assembly + batched LU runs in :func:`solve_request_systems`
+    (sharded across threads for large stacks); the viscous pass and
+    response shaping run in the calling thread.
 
     ``stage_hook``, when given, is called as ``stage_hook(stage, start,
     end, count)`` with monotonic stamps around each internal stage —
-    ``"assembly"`` and ``"solve"`` from the backend (plus per-shard
-    ``"assembly_shard"`` / ``"solve_shard"`` spans under the process
-    backend), ``"postprocess"`` once for the expand+viscous loop — so
-    the serving tracer and ``analyze --trace`` can report the paper's
+    ``"assembly"`` and ``"solve"`` once each (wall-time envelopes),
+    ``"postprocess"`` once for the expand+viscous loop — so the
+    serving tracer and ``analyze --trace`` can report the paper's
     W/A/L/O decomposition for live work without this module knowing
     anything about spans.
 
@@ -475,11 +583,9 @@ def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
     that request raised (so one bad geometry cannot poison its
     batchmates).
     """
-    from repro.parallel import resolve_backend
-
     requests = list(requests)
-    solved = resolve_backend(backend).solve(requests, stage_hook=stage_hook,
-                                            kernel=kernel)
+    solved = solve_request_systems(requests, stage_hook=stage_hook,
+                                   kernel=kernel)
     results: List = [None] * len(requests)
     post_started = time.monotonic()
     for index, (request, entry) in enumerate(zip(requests, solved)):

@@ -86,16 +86,6 @@ class OverloadedError(ServeError):
     """
 
 
-class ExecutionBackendError(ServeError):
-    """Raised when a process-pool execution backend loses a shard.
-
-    A crashed (or killed) worker process, or a shard that exceeds the
-    backend's shard timeout, fails *only the requests of that shard*
-    with this error — batchmates handled by sibling workers are
-    unaffected, and the pool re-forms for the next micro-batch.
-    """
-
-
 class DeadlineExceededError(ServeError):
     """Raised when a request's deadline expires before it is evaluated.
 

@@ -13,7 +13,7 @@ Layers (see ``docs/jobs.md``):
 * :mod:`repro.jobs.store` — append-only JSONL journal (torn-tail
   tolerant) plus atomic per-job checkpoint files;
 * :mod:`repro.jobs.evaluator` — whole-generation evaluation through
-  the shared batched backend path, bit-identical to the serial loop;
+  the shared batched solve path, bit-identical to the serial loop;
 * :mod:`repro.jobs.runner` — bounded job slots driving the GA one
   generation at a time with checkpointing, cooperative cancellation,
   and crash resume;

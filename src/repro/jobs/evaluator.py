@@ -5,9 +5,9 @@ The serial GA loop scores a generation one
 time.  :class:`BatchedGenerationEvaluator` is the drop-in replacement
 (:attr:`repro.optimize.ga.GeneticOptimizer.evaluate_all`) that stacks
 every feasible genome of a generation into one batch and routes it
-through the shared backend path in :mod:`repro.core.api` — the same
+through :func:`repro.core.api.solve_request_systems` — the same
 stacked-assembly + batched-LU code the HTTP ``/analyze`` traffic uses,
-including the ``REPRO_EXEC_BACKEND=process`` shared-memory pool.
+sharded across threads when the generation is large enough.
 
 **Bit-for-bit parity.**  The batched LU kernels are elementwise across
 the stack, and the serial path evaluates through
@@ -21,13 +21,12 @@ here produces *exactly* the bytes it would produce serially:
 * post-solve classification (lift sign, viscous drag, ratios) is the
   shared :meth:`FitnessEvaluator.classify_solution`.
 
-The one divergence the backend can introduce is *failure blast
-radius*: a singular matrix fails its whole (size, dtype) group, and a
-killed worker process fails its whole shard.  Genomes whose batch
-outcome is a :class:`~repro.errors.LinalgError` or
-:class:`~repro.errors.ExecutionBackendError` are therefore re-evaluated
-serially — the serial path is a stack of one, so the retried record is
-the one the serial loop would have produced.
+The one divergence batching can introduce is *failure blast radius*:
+a singular matrix fails its whole (size, dtype) group within its
+shard.  Genomes whose batch outcome is a
+:class:`~repro.errors.LinalgError` are therefore re-evaluated serially
+— the serial path is a stack of one, so the retried record is the one
+the serial loop would have produced.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core.api import AnalyzeRequest
-from repro.errors import ExecutionBackendError, LinalgError
+from repro.core.api import AnalyzeRequest, solve_request_systems
+from repro.errors import LinalgError
 from repro.optimize.fitness import EvaluationRecord, FitnessEvaluator
 from repro.panel.assembly import Closure
 from repro.panel.solution import PanelSolution
@@ -45,33 +44,27 @@ from repro.precision import Precision
 
 
 class BatchedGenerationEvaluator:
-    """Evaluate whole GA generations through the batched backend path.
+    """Evaluate whole GA generations through the batched solve path.
 
     Parameters
     ----------
     evaluator:
         The fitness evaluator whose semantics are reproduced.
-    backend:
-        Execution backend routing (same contract as
-        :func:`repro.core.api.evaluate_requests`): ``None`` for the
-        process-wide default, a backend instance to share one pool with
-        the serving path.
     stage_hook:
         Optional ``(stage, start, end, count)`` callback receiving the
-        backend's assembly/solve stamps (fed into per-generation trace
-        spans by the runner).
+        solve path's assembly/solve stamps (fed into per-generation
+        trace spans by the runner).
     """
 
-    def __init__(self, evaluator: FitnessEvaluator, *, backend=None,
+    def __init__(self, evaluator: FitnessEvaluator, *,
                  stage_hook: Optional[Callable] = None,
                  kernel: Optional[str] = None) -> None:
         self.evaluator = evaluator
-        self.backend = backend
         self.stage_hook = stage_hook
-        #: Assembly-kernel selection forwarded to the backend (``None``
+        #: Assembly-kernel selection forwarded to the solve path (``None``
         #: defers to ``REPRO_ASSEMBLY_KERNEL``; see ``docs/kernels.md``).
         self.kernel = kernel
-        # The shared backend path assembles with the Kutta closure in
+        # The shared solve path assembles with the Kutta closure in
         # the request's precision; an evaluator configured differently
         # must keep the (equally correct) serial stack-of-one path.
         solver = evaluator.solver
@@ -96,9 +89,7 @@ class BatchedGenerationEvaluator:
                 n_panels=airfoil.n_panels,
             )))
         if pending:
-            from repro.parallel import resolve_backend
-
-            solved = resolve_backend(self.backend).solve(
+            solved = solve_request_systems(
                 [request for _, _, request in pending],
                 stage_hook=self.stage_hook, kernel=self.kernel,
             )
@@ -107,8 +98,8 @@ class BatchedGenerationEvaluator:
         return records
 
     def _classify(self, genome: np.ndarray, entry) -> EvaluationRecord:
-        if isinstance(entry, (LinalgError, ExecutionBackendError)):
-            # Group/shard-level failure: the error may belong to a
+        if isinstance(entry, LinalgError):
+            # Group-level failure: the error may belong to a
             # stackmate, not this genome.  Retry serially — a stack of
             # one — which yields exactly the serial loop's record
             # (including a genuine per-genome solve failure).

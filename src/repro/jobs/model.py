@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.api import MAX_PANELS
 from repro.errors import JobError, OptimizationError
 from repro.optimize.fitness import FitnessEvaluator
 from repro.optimize.ga import GAConfig
@@ -218,8 +219,10 @@ class JobSpec:
                 raise JobError(
                     f"n_panels must be an integer, got {overrides['n_panels']!r}"
                 )
-            if n_panels < 3:
-                raise JobError(f"n_panels must be at least 3, got {n_panels}")
+            if not 3 <= n_panels <= MAX_PANELS:
+                raise JobError(
+                    f"n_panels must be in [3, {MAX_PANELS}], got {n_panels}"
+                )
             overrides["n_panels"] = n_panels
         if "reynolds" in overrides:
             try:

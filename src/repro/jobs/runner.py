@@ -63,10 +63,6 @@ class JobRunner:
     slots:
         Concurrent job slots (worker threads); default 1 — GA jobs are
         batch-parallel *inside* a generation already.
-    exec_backend:
-        Execution backend for generation batches (shared with the
-        serving path when embedded in an
-        :class:`~repro.serve.service.AnalysisService`).
     tracer:
         Optional :class:`~repro.serve.tracing.Tracer`; each generation
         of each job becomes one sampled trace with a ``generation``
@@ -81,14 +77,13 @@ class JobRunner:
     """
 
     def __init__(self, store: JobStore, *, slots: int = 1,
-                 exec_backend=None, tracer=None,
+                 tracer=None,
                  metrics: Optional[JobMetrics] = None,
                  on_generation: Optional[Callable] = None) -> None:
         if int(slots) < 1:
             raise JobError(f"job slots must be >= 1, got {slots}")
         self.store = store
         self.slots = int(slots)
-        self.exec_backend = exec_backend
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else store.metrics
         self.on_generation = on_generation
@@ -247,9 +242,8 @@ class JobRunner:
             if trace is not None:
                 def stage_hook(stage, start, end, count, _trace=trace):
                     _trace.add_stage(stage, start, end)
-            batched = BatchedGenerationEvaluator(
-                evaluator, backend=self.exec_backend, stage_hook=stage_hook
-            )
+            batched = BatchedGenerationEvaluator(evaluator,
+                                                 stage_hook=stage_hook)
             optimizer = GeneticOptimizer(evaluator=evaluator,
                                          config=step_config,
                                          evaluate_all=batched)

@@ -19,10 +19,8 @@ header value is three ``;``-separated fields::
 The other half of cross-process tracing is clock stitching:
 :func:`anchor_remote_spans` maps a remote hop's span tree (recorded on
 *its* monotonic clock) into the caller's clock using the caller's
-send/receive bounds around the exchange — the same estimate
-:func:`repro.parallel.protocol.anchor_stamps` uses for worker
-processes, generalized to whole span trees and hardened against clock
-skew: stitched spans always land inside the caller's bounds and stay
+send/receive bounds around the exchange, hardened against clock skew:
+stitched spans always land inside the caller's bounds and stay
 monotonic.
 """
 
@@ -158,10 +156,9 @@ def anchor_remote_spans(spans: Sequence[Span], send_start: float,
 
     *spans* is the remote trace's span list (root first) on the remote
     clock; ``send_start``/``recv_end`` bound the exchange on the
-    *caller's* clock (the caller's proxy span).  Like
-    :func:`repro.parallel.protocol.anchor_stamps`, the remote timeline
-    is pinned by estimating its start as ``recv_end - elapsed`` — exact
-    up to the one-way network latency.  Two guarantees on top:
+    *caller's* clock (the caller's proxy span).  The remote timeline is
+    pinned by estimating its start as ``recv_end - elapsed`` — exact up
+    to the one-way network latency.  Two guarantees on top:
 
     * **containment** — when the remote's measured elapsed exceeds the
       caller's window (clock skew, or a caller clock that ticked

@@ -184,8 +184,8 @@ class StageHistograms:
     """A named family of :class:`LatencyHistogram`, one per stage.
 
     Thread-safe lazy creation so the serving tracer can fold any span
-    vocabulary (including backend-specific stages like
-    ``assembly_shard``) without pre-registration.
+    vocabulary (including job stages like ``generation``) without
+    pre-registration.
     """
 
     def __init__(self, bounds_ms: Sequence[float] = DEFAULT_BUCKET_BOUNDS_MS,

@@ -40,8 +40,6 @@ COUNTER_KEYS = frozenset({
     "admitted", "completed", "failed", "shed", "expired", "cancelled",
     "accounting_drift", "flushes", "batched_solves", "solved_systems",
     "hits", "misses", "evictions", "snapshot_seq", "traced", "evicted",
-    "shards", "sharded_requests", "worker_crashes", "worker_restarts",
-    "inline_fallbacks", "start_failures",
     # jobs subsystem (the "jobs" snapshot section)
     "submitted", "started", "done", "resumed", "checkpoints",
     "generations_completed", "duplicate_submits",

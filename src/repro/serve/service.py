@@ -120,17 +120,6 @@ class AnalysisService:
         A :class:`~repro.obs.logging.StructuredLogger` receiving one
         event per request outcome (completed / failed / shed / expired
         / cancelled).  ``None`` logs nothing (the in-process default).
-    exec_backend:
-        Where micro-batches are assembled and solved: a backend name
-        (``"inline"`` / ``"process"``, constructed — and closed — by
-        the service), an :class:`~repro.parallel.ExecutionBackend`
-        instance (borrowed; the caller closes it), or ``None`` for the
-        process-wide default (``REPRO_EXEC_BACKEND``, inline unless
-        set).  See the "Execution backends" section of
-        ``docs/serving.md``.
-    exec_procs:
-        Worker-process count when *exec_backend* is the name
-        ``"process"``; ignored otherwise.
     assembly_kernel:
         Influence-matrix kernel the service pins for every evaluation
         (``"reference"`` / ``"fused"`` / ``"native"``); ``None`` reads
@@ -170,8 +159,6 @@ class AnalysisService:
                  default_deadline_ms: Optional[float] = None,
                  trace_sample: float = 1.0, trace_ring: int = 256,
                  logger: Optional[StructuredLogger] = None,
-                 exec_backend=None,
-                 exec_procs: Optional[int] = None,
                  assembly_kernel: Optional[str] = None,
                  jobs_dir: Optional[str] = None,
                  job_slots: int = 1,
@@ -192,16 +179,6 @@ class AnalysisService:
         self.tracer = Tracer(sample_rate=trace_sample, ring_size=trace_ring)
         self.slo = SLOTracker(latency_ms=slo_latency_ms, target=slo_target)
         self.logger = logger if logger is not None else StructuredLogger("off")
-        from repro.parallel import make_backend, resolve_backend
-
-        if isinstance(exec_backend, str):
-            # A named backend is constructed here and owned here: the
-            # service closes it (and its worker processes) on close().
-            self._exec_backend = make_backend(exec_backend, n_procs=exec_procs)
-            self._owns_exec_backend = True
-        else:
-            self._exec_backend = resolve_backend(exec_backend)
-            self._owns_exec_backend = False
         from repro.panel.kernels import resolve_kernel
 
         #: The assembly kernel every batch (and job) evaluation uses,
@@ -223,8 +200,7 @@ class AnalysisService:
 
             store = JobStore(jobs_dir, logger=self.logger)
             self.jobs = JobRunner(
-                store, slots=job_slots, exec_backend=self._exec_backend,
-                tracer=self.tracer,
+                store, slots=job_slots, tracer=self.tracer,
             ).start()
         #: The :class:`~repro.tune.AutotuneController` when autotuning
         #: is enabled, else ``None`` (the HTTP layer 404s its route).
@@ -259,11 +235,6 @@ class AnalysisService:
     def draining(self) -> bool:
         """True once shutdown has begun (the autotuner must not act)."""
         return self._closed or self._pool.draining
-
-    @property
-    def execution_backend(self):
-        """The backend micro-batches run on (borrowed; do not close)."""
-        return self._exec_backend
 
     def apply_policy(self, policy: BatchPolicy) -> None:
         """Swap the live batching policy (the autotuner's apply path).
@@ -506,7 +477,7 @@ class AnalysisService:
                     job.trace.add_stage(stage, start, end)
         outcomes = evaluate_requests(
             [job.request for job in representatives], stage_hook=stage_hook,
-            backend=self._exec_backend, kernel=self.assembly_kernel,
+            kernel=self.assembly_kernel,
         )
 
         now = time.monotonic()
@@ -619,7 +590,6 @@ class AnalysisService:
         snapshot["stages"] = self.tracer.stages_snapshot()
         snapshot["stages_hist_ms"] = self.tracer.stage_histograms.snapshot()
         snapshot["slo"] = self.slo.snapshot()
-        snapshot["exec_backend"] = self._exec_backend.stats()
         snapshot["assembly_kernel"] = self.assembly_kernel
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.metrics_snapshot()
@@ -653,9 +623,7 @@ class AnalysisService:
 
         The autotuner stops first (a retune must never race a drain),
         then the job runner (running jobs checkpoint and stay
-        resumable); a service-owned execution backend is closed only
-        after the thread pool drains, so in-flight micro-batches keep
-        their worker processes until the last solve lands.
+        resumable), then the worker threads drain accepted work.
         """
         self._closed = True
         drained = True
@@ -664,10 +632,7 @@ class AnalysisService:
         if self.jobs is not None:
             drained = self.jobs.close(timeout=timeout) and drained
             self.jobs.store.close()
-        drained = self._pool.shutdown(timeout=timeout) and drained
-        if self._owns_exec_backend:
-            self._exec_backend.close()
-        return drained
+        return self._pool.shutdown(timeout=timeout) and drained
 
     def __enter__(self) -> "AnalysisService":
         return self

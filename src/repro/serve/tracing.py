@@ -38,11 +38,6 @@ STAGE_ASSEMBLY = "assembly"
 STAGE_SOLVE = "solve"
 STAGE_POSTPROCESS = "postprocess"
 STAGE_SERIALIZE = "serialize"
-#: Per-worker-process spans emitted by the process execution backend;
-#: the plain ``assembly``/``solve`` stages remain the *wall-time*
-#: envelope across shards, so W/A/L/O stays backend-comparable.
-STAGE_ASSEMBLY_SHARD = "assembly_shard"
-STAGE_SOLVE_SHARD = "solve_shard"
 #: One GA generation of a background optimization job (emitted by
 #: :mod:`repro.jobs.runner`; folds into the aggregate as
 #: ``generation_seconds``).
@@ -57,8 +52,6 @@ LIVE_GLYPHS: Dict[str, str] = {
     STAGE_SOLVE: "s",
     STAGE_POSTPROCESS: "p",
     STAGE_SERIALIZE: "z",
-    STAGE_ASSEMBLY_SHARD: "A",
-    STAGE_SOLVE_SHARD: "S",
     STAGE_GENERATION: "g",
 }
 
@@ -71,8 +64,6 @@ LIVE_TITLES: Dict[str, str] = {
     STAGE_SOLVE: "solve",
     STAGE_POSTPROCESS: "postprocess",
     STAGE_SERIALIZE: "serialize",
-    STAGE_ASSEMBLY_SHARD: "assembly (per shard)",
-    STAGE_SOLVE_SHARD: "solve (per shard)",
     STAGE_GENERATION: "GA generation",
 }
 

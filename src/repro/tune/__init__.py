@@ -8,9 +8,9 @@ control loop:
   batch-scaling curve) into a :class:`CalibratedWorkstation` that can
   both predict serving latency and re-anchor the paper's simulator.
 - :mod:`repro.tune.recommend` sweeps the serving-knob grid —
-  ``BatchPolicy(max_batch, max_wait)``, backend procs, per-replica
-  weights — exactly the way :func:`repro.pipeline.autotune.tune_slices`
-  sweeps slice counts.
+  ``BatchPolicy(max_batch, max_wait)``, per-replica weights — exactly
+  the way :func:`repro.pipeline.autotune.tune_slices` sweeps slice
+  counts.
 - :mod:`repro.tune.controller` runs the periodic advise/apply loop with
   hysteresis and a decision journal, for both the single-node service
   and the cluster router.

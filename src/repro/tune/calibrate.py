@@ -276,15 +276,16 @@ class StageCost:
 
 
 def probe_stage_curves(*, n_panels: int, precision: str = "double",
-                       backend=None, kernel: Optional[str] = None,
+                       kernel: Optional[str] = None,
                        sizes: Sequence[int] = (1, 8), repeats: int = 2,
                        timer: Callable[[], float] = time.perf_counter,
                        ) -> Dict[str, StageCost]:
     """Measure per-stage (setup, unit) costs by timing real evaluations.
 
     Runs the service's own evaluation path
-    (:func:`repro.core.api.evaluate_requests`, same backend and
-    assembly kernel) at each batch size in *sizes* and fits one
+    (:func:`repro.core.api.evaluate_requests`, same assembly kernel,
+    threads shard the larger sizes as they do live) at each batch size
+    in *sizes* and fits one
     ``setup + batch * unit`` line per stage through the best-of-
     *repeats* timings.  Cost is bounded: ``sum(sizes) * repeats``
     inviscid evaluations, a few milliseconds at serving problem sizes.
@@ -316,8 +317,7 @@ def probe_stage_curves(*, n_panels: int, precision: str = "double",
                     spans[stage] = spans.get(stage, 0.0) + (end - start)
 
             started = timer()
-            evaluate_requests(requests, stage_hook=hook, backend=backend,
-                              kernel=kernel)
+            evaluate_requests(requests, stage_hook=hook, kernel=kernel)
             elapsed = timer() - started
             spans.setdefault("serialize", 0.0)
             # The response-shaping tail (everything outside the hooked
@@ -364,7 +364,6 @@ class ServingPrediction:
     """What the model expects one policy to do under the observed mix."""
 
     policy: BatchPolicy
-    exec_procs: int
     batch_size: float
     service_seconds: float
     latency_seconds: float
@@ -380,7 +379,6 @@ class ServingPrediction:
         return {
             "max_batch": self.policy.max_batch,
             "max_wait_ms": 1e3 * self.policy.max_wait,
-            "exec_procs": self.exec_procs,
             "predicted_batch": round(self.batch_size, 2),
             "predicted_latency_ms": round(self.latency_ms, 3),
             "predicted_throughput_rps": round(self.throughput_rps, 1),
@@ -475,29 +473,16 @@ class CalibratedWorkstation:
     # Prediction
     # ------------------------------------------------------------------
 
-    def service_seconds(self, batch: float, *, exec_procs: int = 1) -> float:
-        """Predicted seconds one worker spends on a *batch*-sized flush.
-
-        ``exec_procs > 1`` models the process backend sharding assembly
-        across workers at 80% parallel efficiency — advisory only; the
-        controller never hot-swaps backends.
-        """
+    def service_seconds(self, batch: float) -> float:
+        """Predicted seconds one worker spends on a *batch*-sized flush."""
         stack = batch * (self.mix.mean_stack / max(self.mix.mean_batch, 1.0))
         stack = max(1.0, min(batch, stack))
-        total = 0.0
-        for stage, cost in self.costs.items():
-            span = cost.batch_seconds(stack if stage == "solve" else batch)
-            if stage == "assembly" and exec_procs > 1:
-                span = cost.setup + (span - cost.setup) / (
-                    1.0 + 0.8 * (exec_procs - 1)
-                )
-            total += span
-        return total
+        return sum(cost.batch_seconds(stack if stage == "solve" else batch)
+                   for stage, cost in self.costs.items())
 
     def simulate(self, policy: BatchPolicy, *,
                  arrival_rate: Optional[float] = None,
-                 n_workers: int = 1,
-                 exec_procs: int = 1) -> ServingPrediction:
+                 n_workers: int = 1) -> ServingPrediction:
         """Steady-state prediction for *policy* under the observed mix.
 
         The expected flush size is the fixed point of ``B = min(max_batch,
@@ -520,8 +505,7 @@ class CalibratedWorkstation:
         batch = 1.0
         for _ in range(32):
             window = max(policy.max_wait,
-                         self.service_seconds(batch, exec_procs=exec_procs)
-                         / max(1, int(n_workers)))
+                         self.service_seconds(batch) / max(1, int(n_workers)))
             target = min(float(policy.max_batch), max(1.0, rate * window))
             if abs(target - batch) < 1e-6:
                 batch = target
@@ -530,7 +514,7 @@ class CalibratedWorkstation:
         pending = self.mix.concurrency
         if pending > batch:
             batch = min(float(policy.max_batch), pending)
-        service = self.service_seconds(batch, exec_procs=exec_procs)
+        service = self.service_seconds(batch)
         throughput = max(1, int(n_workers)) * batch / service if service > 0.0 else math.inf
         # Mean wait for the batch to fill: half the fill window, bounded
         # by the flush deadline.
@@ -542,7 +526,6 @@ class CalibratedWorkstation:
         utilization = rate / throughput if throughput > 0.0 else math.inf
         return ServingPrediction(
             policy=policy,
-            exec_procs=int(exec_procs),
             batch_size=batch,
             service_seconds=service,
             latency_seconds=latency,

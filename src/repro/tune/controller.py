@@ -209,7 +209,6 @@ class AutotuneController(_LoopMixin):
         recommendation = recommend_policy(
             calibrated, self._service.policy,
             n_workers=self._service.n_workers,
-            exec_procs=self._exec_procs(),
             batch_grid=self.config.batch_grid,
             wait_grid_ms=self.config.wait_grid_ms,
         )
@@ -259,7 +258,6 @@ class AutotuneController(_LoopMixin):
             self._probe_curves = probe_stage_curves(
                 n_panels=live.mix.n_panels,
                 precision=live.mix.precision,
-                backend=self._service.execution_backend,
                 kernel=self._service.assembly_kernel,
             )
             self._probe_mix = mix_key
@@ -267,10 +265,6 @@ class AutotuneController(_LoopMixin):
         return CalibratedWorkstation.fit(snapshot, previous,
                                          probe=self._probe_curves,
                                          min_samples=self.config.min_samples)
-
-    def _exec_procs(self) -> int:
-        stats = self._service.execution_backend.stats()
-        return int(stats.get("procs", 1) or 1)
 
     @staticmethod
     def _window_stats(snapshot: dict, previous: Optional[dict]) -> dict:
@@ -440,13 +434,13 @@ class AutotuneController(_LoopMixin):
         if recommendation is None:
             lines.append("no sweep yet; waiting for a traffic window")
         else:
-            lines.append(f"{'max_batch':>9} {'wait_ms':>8} {'procs':>5} "
+            lines.append(f"{'max_batch':>9} {'wait_ms':>8} "
                          f"{'batch':>7} {'lat_ms':>9} {'rps':>9} feasible")
             for config, prediction in recommendation.sweep[:limit]:
                 marker = " <- best" if config == recommendation.best else ""
                 lines.append(
                     f"{config.max_batch:>9} {1e3 * config.max_wait:>8.1f} "
-                    f"{config.exec_procs:>5} {prediction.batch_size:>7.1f} "
+                    f"{prediction.batch_size:>7.1f} "
                     f"{prediction.latency_ms:>9.2f} "
                     f"{prediction.throughput_rps:>9.1f} "
                     f"{str(prediction.feasible):>8}{marker}"

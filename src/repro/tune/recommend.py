@@ -5,10 +5,10 @@ The same shape as the paper's :func:`repro.pipeline.autotune.tune_slices`
 by predicted wall time — but the "simulator" is a
 :class:`~repro.tune.calibrate.CalibratedWorkstation` fitted from live
 traffic and the knobs are the serving ones: ``BatchPolicy(max_batch,
-max_wait)`` and (advisorily) the process-backend worker count.  Cluster
-mode adds :func:`recommend_weights`, the serving analogue of
-:func:`repro.pipeline.heterogeneous.balanced_fractions`: per-replica
-routing weights proportional to each replica's measured service rate.
+max_wait)``.  Cluster mode adds :func:`recommend_weights`, the serving
+analogue of :func:`repro.pipeline.heterogeneous.balanced_fractions`:
+per-replica routing weights proportional to each replica's measured
+service rate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class CandidateConfig:
 
     max_batch: int
     max_wait: float
-    exec_procs: int = 1
 
     def policy(self) -> BatchPolicy:
         return BatchPolicy(max_batch=self.max_batch, max_wait=self.max_wait)
@@ -42,7 +41,6 @@ class CandidateConfig:
         return {
             "max_batch": self.max_batch,
             "max_wait_ms": round(1e3 * self.max_wait, 3),
-            "exec_procs": self.exec_procs,
         }
 
 
@@ -140,37 +138,27 @@ def recommend_policy(calibrated: CalibratedWorkstation,
                      current: BatchPolicy, *,
                      arrival_rate: Optional[float] = None,
                      n_workers: int = 1,
-                     exec_procs: int = 1,
                      batch_grid: Iterable[int] = DEFAULT_BATCH_GRID,
                      wait_grid_ms: Iterable[float] = DEFAULT_WAIT_GRID_MS,
-                     procs_grid: Optional[Iterable[int]] = None,
                      ) -> TuneRecommendation:
     """Sweep the policy grid and rank candidates by predicted latency.
 
     Infeasible candidates (predicted capacity below the arrival rate —
     the queue would grow without bound) rank strictly after feasible
-    ones regardless of their nominal latency.  ``procs_grid`` defaults
-    to just the current ``exec_procs``; larger values are advisory
-    (the controller never hot-swaps the execution backend).
+    ones regardless of their nominal latency.
     """
     batches = _validated_batch_grid(batch_grid)
     waits = [ms / 1e3 for ms in _validated_wait_grid(wait_grid_ms)]
-    procs = sorted({int(p) for p in (procs_grid or (exec_procs,)) if int(p) >= 1})
-    if not procs:
-        raise TuneError("no feasible exec_procs candidates: empty grid")
 
     sweep: List[Tuple[CandidateConfig, ServingPrediction]] = []
-    for n_procs in procs:
-        for max_batch in batches:
-            for max_wait in waits:
-                config = CandidateConfig(max_batch=max_batch,
-                                         max_wait=max_wait,
-                                         exec_procs=n_procs)
-                prediction = calibrated.simulate(
-                    config.policy(), arrival_rate=arrival_rate,
-                    n_workers=n_workers, exec_procs=n_procs,
-                )
-                sweep.append((config, prediction))
+    for max_batch in batches:
+        for max_wait in waits:
+            config = CandidateConfig(max_batch=max_batch, max_wait=max_wait)
+            prediction = calibrated.simulate(
+                config.policy(), arrival_rate=arrival_rate,
+                n_workers=n_workers,
+            )
+            sweep.append((config, prediction))
 
     def rank(item: Tuple[CandidateConfig, ServingPrediction]):
         _config, prediction = item
@@ -182,11 +170,9 @@ def recommend_policy(calibrated: CalibratedWorkstation,
 
     sweep.sort(key=rank)
     current_config = CandidateConfig(max_batch=current.max_batch,
-                                     max_wait=current.max_wait,
-                                     exec_procs=exec_procs)
+                                     max_wait=current.max_wait)
     current_prediction = calibrated.simulate(
-        current, arrival_rate=arrival_rate,
-        n_workers=n_workers, exec_procs=exec_procs,
+        current, arrival_rate=arrival_rate, n_workers=n_workers,
     )
     best_config, best_prediction = sweep[0]
     return TuneRecommendation(

@@ -44,7 +44,6 @@ def reference_history(spec):
 def _spawn(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
-    env.pop("REPRO_EXEC_BACKEND", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro"] + argv,
         stdout=subprocess.PIPE, text=True, env=env, cwd=_REPO_ROOT,

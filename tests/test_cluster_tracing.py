@@ -28,14 +28,12 @@ def payload(alpha):
 class TracedCluster:
     """Two in-process replicas behind one router, tracing everything."""
 
-    def __init__(self, *, exec_backend=None, trace_sample=1.0,
-                 log_stream=None):
+    def __init__(self, *, trace_sample=1.0, log_stream=None):
         self.services, self.servers, specs = [], [], []
         for _ in range(2):
             service = AnalysisService(max_batch=8, max_wait=0.002,
                                       cache_size=64, n_workers=1,
                                       queue_limit=64,
-                                      exec_backend=exec_backend,
                                       slo_latency_ms=250.0)
             server = start_server(service)
             self.services.append(service)
@@ -135,23 +133,6 @@ class TestStitchedTrace:
             assert "cl" in record
             assert built.router.stitched_trace() is None
             assert built.router.metrics.get("routed") == 1
-        finally:
-            built.close()
-
-
-class TestWorkerShardHop:
-    def test_process_backend_spans_become_a_workers_hop(self):
-        built = TracedCluster(exec_backend="process")
-        try:
-            # Distinct alphas defeat both caches so a solve really runs.
-            document = built.stitched_after_analyze(9.25)
-            hops = {hop["hop"]: hop for hop in document["hops"]}
-            replica = document["annotations"]["replica"]
-            workers = hops.get(f"workers {replica}")
-            assert workers is not None
-            names = {span["name"] for span in workers["spans"]}
-            assert names <= {"assembly_shard", "solve_shard"}
-            assert names
         finally:
             built.close()
 

@@ -215,7 +215,6 @@ class TestCrashRecovery:
     def start_server_process(self, jobs_dir):
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
-        env.pop("REPRO_EXEC_BACKEND", None)  # keep the kill window simple
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--jobs-dir", str(jobs_dir), "--log-format", "off",

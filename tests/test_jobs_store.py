@@ -64,6 +64,10 @@ class TestJobSpec:
         with pytest.raises(JobError):
             JobSpec.from_dict({"seed": 0, "fitness": {"n_panels": -5}})
 
+    def test_panel_count_above_the_cap_rejected(self):
+        with pytest.raises(JobError, match="n_panels"):
+            JobSpec.from_dict({"seed": 0, "fitness": {"n_panels": 200000}})
+
 
 class TestStateMachine:
     def test_submit_starts_pending(self, tmp_path):

@@ -1,48 +1,46 @@
-"""Tests for the process-parallel execution backend.
+"""Tests for sharding a solve stack across threads.
 
-Covers the shard protocol maths, byte-identity of responses across
-backends (including a hypothesis property test), crash containment
-(a SIGKILLed worker fails only its own shard and the pool re-forms),
-graceful degradation to inline execution, and the service-level
-integration (metrics section, end-to-end equality, mid-batch crash).
+Covers the shard plan, byte-identity of sharded and unsharded solves
+(including a hypothesis property over stack sizes on both sides of the
+cut-off, both precisions, two assembly kernels and mixed panel counts),
+the single wall-time envelope per stage, and failure isolation: a
+group that fails to factor fails only within its shard, and the GA's
+batched evaluator still returns the serial record for every genome.
 """
 
-import os
-import signal
-import time
+import itertools
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import api
 from repro.core.api import (
+    MIN_SYSTEMS_PER_SHARD,
     AnalyzeRequest,
+    SolvedSystem,
     canonical_json,
     evaluate_requests,
+    merge_envelope,
+    plan_shards,
     serialize_analysis,
     solve_request_systems,
 )
-from repro.errors import ExecutionBackendError, GeometryError, ServeError
-from repro.parallel import (
-    BACKEND_ENV,
-    InlineBackend,
-    ProcessBackend,
-    close_default_backend,
-    default_backend,
-    make_backend,
-    resolve_backend,
-)
-from repro.parallel.protocol import (
-    MODE_PARENT,
-    MODE_WORKER,
-    anchor_stamps,
-    expand_kutta_row,
-    merge_envelope,
-    plan_layout,
-    plan_shards,
-)
-from repro.serve import AnalysisService
+from repro.errors import GeometryError, LinalgError
+from repro.jobs import BatchedGenerationEvaluator
+from repro.optimize.fitness import FitnessEvaluator
+from repro.optimize.genome import GenomeLayout
+from repro.panel.assembly import assemble
+from tests.test_jobs_evaluator import records_identical
+
+
+def with_cores(cores, call, *args, **kwargs):
+    """Run *call* as if this process could use *cores* CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(api, "usable_cores", lambda: cores)
+        return call(*args, **kwargs)
 
 
 def requests_mixed():
@@ -55,6 +53,10 @@ def requests_mixed():
         AnalyzeRequest(airfoil="99zz", alpha_degrees=0.0, n_panels=60),
         AnalyzeRequest(airfoil="4412", alpha_degrees=1.0, n_panels=80,
                        reynolds=5e5),
+        AnalyzeRequest(airfoil="0012", alpha_degrees=3.0, n_panels=60),
+        AnalyzeRequest(airfoil="2412", alpha_degrees=5.0, n_panels=60,
+                       precision="single", reynolds=None),
+        AnalyzeRequest(airfoil="4412", alpha_degrees=2.0, n_panels=80),
     ]
 
 
@@ -68,18 +70,16 @@ def serialized(requests, outcomes):
     return out
 
 
-@pytest.fixture(scope="module")
-def worker_backend():
-    backend = make_backend("process", n_procs=2)
-    yield backend
-    backend.close()
-
-
-@pytest.fixture(scope="module")
-def parent_backend():
-    backend = make_backend("process", n_procs=2, solve_in_worker=False)
-    yield backend
-    backend.close()
+def assert_same_bits(ours, theirs):
+    assert len(ours) == len(theirs)
+    for left, right in zip(ours, theirs):
+        if isinstance(left, BaseException):
+            assert type(left) is type(right) and str(left) == str(right)
+            continue
+        left_gamma, right_gamma = np.asarray(left.gamma), np.asarray(right.gamma)
+        assert left_gamma.dtype == right_gamma.dtype
+        assert left_gamma.tobytes() == right_gamma.tobytes()
+        assert left.constant == right.constant
 
 
 class TestShardPlanning:
@@ -94,347 +94,155 @@ class TestShardPlanning:
     def test_single_shard(self):
         assert plan_shards(5, 1) == [(0, 5)]
 
-    def test_layout_is_aligned_and_sized(self):
-        requests = [
-            AnalyzeRequest(airfoil="0012", n_panels=50),
-            AnalyzeRequest(airfoil="0012", n_panels=33, precision="single"),
-            AnalyzeRequest(airfoil="0012", n_panels=64),
-        ]
-        for mode in (MODE_WORKER, MODE_PARENT):
-            offsets, total = plan_layout(requests, mode)
-            assert all(offset % 8 == 0 for offset in offsets)
-            assert offsets[0] == 0 and total > offsets[-1]
-        worker_offsets, _ = plan_layout(requests, MODE_WORKER)
-        # Worker mode ships (n+1) float64 per request.
-        assert worker_offsets[1] - worker_offsets[0] == 51 * 8
-        parent_offsets, _ = plan_layout(requests, MODE_PARENT)
-        # Parent mode ships the (n, n) matrix plus n rhs values in the
-        # request's own precision, rounded up to 8-byte alignment.
-        assert parent_offsets[1] - parent_offsets[0] == (50 * 50 + 50) * 8
-
-    def test_expand_kutta_row_matches_panel_system(self):
-        from repro.panel.assembly import assemble
-
-        request = AnalyzeRequest(airfoil="2412", alpha_degrees=3.0,
-                                 n_panels=40)
-        system = assemble(request.build_airfoil(), request.freestream(),
-                          dtype=request.precision.dtype)
-        unknowns = np.linalg.solve(system.matrix, system.rhs)
-        gamma_ref, constant_ref = system.expand_solution(unknowns)
-        gamma, constant = expand_kutta_row(unknowns)
-        np.testing.assert_array_equal(gamma, np.asarray(gamma_ref))
-        assert constant == constant_ref
-
-    def test_anchor_and_envelope(self):
-        stamps = [("assembly", 0.1, 0.4, 3), ("solve", 0.4, 0.5, 3)]
-        anchored = anchor_stamps(stamps, elapsed=0.5, received_at=100.0)
-        assert anchored[0] == ("assembly", 99.6, 99.9, 3)
-        assert anchored[1] == ("solve", 99.9, 100.0, 3)
+    def test_merge_envelope(self):
         assert merge_envelope([(1.0, 2.0), (1.5, 3.0)]) == (1.0, 3.0)
         assert merge_envelope([]) is None
 
+    def test_small_stacks_stay_in_the_calling_thread(self, monkeypatch):
+        """Below MIN_SYSTEMS_PER_SHARD per core no thread is started."""
+        threads = set()
+        original = api.assemble
 
-class TestBackendResolution:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ServeError, match="unknown execution backend"):
-            make_backend("bogus")
+        def recording_assemble(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return original(*args, **kwargs)
 
-    def test_strings_rejected_by_resolve(self):
-        with pytest.raises(ServeError, match="make_backend"):
-            resolve_backend("process")
-
-    def test_instance_passes_through(self):
-        backend = InlineBackend()
-        assert resolve_backend(backend) is backend
-
-    def test_default_backend_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        close_default_backend()
-        try:
-            assert isinstance(default_backend(), InlineBackend)
-            monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
-            monkeypatch.setenv("REPRO_EXEC_PROCS", "2")
-            backend = default_backend()
-            assert isinstance(backend, ProcessBackend)
-            assert backend.n_procs == 2
-            assert default_backend() is backend  # cached
-        finally:
-            close_default_backend()
-
-    def test_invalid_procs_rejected(self):
-        with pytest.raises(ServeError, match="n_procs"):
-            ProcessBackend(n_procs=0)
+        monkeypatch.setattr(api, "assemble", recording_assemble)
+        monkeypatch.setattr(api, "usable_cores", lambda: 2)
+        requests = [AnalyzeRequest(airfoil="0012", alpha_degrees=float(a),
+                                   n_panels=40, reynolds=None)
+                    for a in range(2 * MIN_SYSTEMS_PER_SHARD)]
+        solve_request_systems(requests[:-1])
+        assert threads == {threading.get_ident()}
+        threads.clear()
+        solve_request_systems(requests)
+        assert threads and threading.get_ident() not in threads
 
 
 class TestByteIdentity:
-    def test_worker_mode_matches_inline(self, worker_backend):
+    def test_sharded_responses_match_unsharded(self):
         requests = requests_mixed()
-        baseline = serialized(requests, evaluate_requests(requests))
-        outcomes = evaluate_requests(requests, backend=worker_backend)
+        baseline = serialized(requests,
+                              with_cores(1, evaluate_requests, requests))
+        outcomes = with_cores(2, evaluate_requests, requests)
         assert serialized(requests, outcomes) == baseline
         assert isinstance(outcomes[3], GeometryError)
 
-    def test_parent_mode_matches_inline(self, parent_backend):
-        requests = requests_mixed()
-        baseline = serialized(requests, evaluate_requests(requests))
-        assert serialized(
-            requests, evaluate_requests(requests, backend=parent_backend)
-        ) == baseline
-
-    def test_single_request_single_shard(self, worker_backend):
+    def test_single_request_single_shard(self):
         request = AnalyzeRequest(airfoil="2412", alpha_degrees=2.0,
                                  n_panels=70)
-        baseline = serialized([request], evaluate_requests([request]))
-        assert serialized(
-            [request], evaluate_requests([request], backend=worker_backend)
-        ) == baseline
+        assert_same_bits(with_cores(1, solve_request_systems, [request]),
+                         with_cores(8, solve_request_systems, [request]))
 
-    def test_empty_batch(self, worker_backend):
-        assert worker_backend.solve([]) == []
+    def test_empty_batch(self):
+        assert with_cores(2, solve_request_systems, []) == []
 
-    def test_gamma_bits_match_exactly(self, worker_backend):
-        """Not just serialized equality: the float64 circulation rows
-        coming back through shared memory are bit-for-bit the inline
-        backend's (float32 widening is exact; no arithmetic differs)."""
+    def test_gamma_bits_match_exactly(self):
+        """Not just serialized equality: the circulation rows of a
+        sharded solve are bit-for-bit the unsharded ones."""
         requests = [
             AnalyzeRequest(airfoil="2412", alpha_degrees=a, n_panels=64,
                            precision=precision, reynolds=None)
-            for a in (0.0, 3.0) for precision in ("single", "double")
+            for a in (0.0, 1.0, 2.0, 3.0) for precision in ("single", "double")
         ]
-        inline = solve_request_systems(requests)
-        sharded = worker_backend.solve(requests)
-        for ours, theirs in zip(inline, sharded):
-            lhs = np.asarray(ours.gamma, dtype=np.float64)
-            rhs = np.asarray(theirs.gamma, dtype=np.float64)
-            assert lhs.tobytes() == rhs.tobytes()
-            assert ours.constant == theirs.constant
+        unsharded = with_cores(1, solve_request_systems, requests)
+        sharded = with_cores(2, solve_request_systems, requests)
+        assert all(isinstance(entry, SolvedSystem) for entry in sharded)
+        assert_same_bits(unsharded, sharded)
 
-    def test_stage_hook_emits_shard_and_envelope_spans(self, worker_backend):
-        requests = requests_mixed()
-        stamps = []
-        worker_backend.solve(
-            requests, stage_hook=lambda *args: stamps.append(args)
-        )
-        stages = [stamp[0] for stamp in stamps]
-        assert stages.count("assembly") == 1  # the envelope
-        assert stages.count("solve") == 1
-        assert stages.count("assembly_shard") == 2  # one per worker
-        by_name = {}
-        for stage, start, end, _count in stamps:
-            assert end >= start
-            by_name.setdefault(stage, []).append((start, end))
-        envelope = by_name["assembly"][0]
-        for start, end in by_name["assembly_shard"]:
-            assert envelope[0] <= start and end <= envelope[1]
-
-    @given(alpha=st.floats(-5.0, 8.0, allow_nan=False),
-           n_panels=st.sampled_from([40, 56]),
+    @given(stack=st.lists(
+               st.tuples(st.sampled_from([16, 24, 32]),
+                         st.floats(-5.0, 8.0, allow_nan=False)),
+               min_size=1, max_size=13),
            precision=st.sampled_from(["single", "double"]),
-           reynolds=st.sampled_from([None, 5e5]),
-           batchmates=st.integers(0, 3))
-    @settings(max_examples=20, deadline=None)
-    def test_property_responses_identical_across_backends(
-            self, shared_process_backend, alpha, n_panels, precision,
-            reynolds, batchmates):
-        """For any request (and any shard split its batchmates force),
-        the /analyze response bytes are identical across backends."""
+           kernel=st.sampled_from(["fused", "reference"]),
+           cores=st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_property_sharded_matches_unsharded(self, stack, precision,
+                                                kernel, cores):
+        """For any stack, sharded or not, mixed panel counts included,
+        ``gamma`` and ``constant`` are byte-identical."""
         requests = [AnalyzeRequest(airfoil="2412", alpha_degrees=alpha,
                                    n_panels=n_panels, precision=precision,
-                                   reynolds=reynolds)]
-        requests += [
-            AnalyzeRequest(airfoil="0012", alpha_degrees=float(index),
-                           n_panels=48, reynolds=None)
-            for index in range(batchmates)
-        ]
-        baseline = serialized(requests, evaluate_requests(requests))
-        assert serialized(
-            requests,
-            evaluate_requests(requests, backend=shared_process_backend),
-        ) == baseline
+                                   reynolds=None)
+                    for n_panels, alpha in stack]
+        assert_same_bits(
+            with_cores(1, solve_request_systems, requests, kernel=kernel),
+            with_cores(cores, solve_request_systems, requests, kernel=kernel),
+        )
 
-
-@pytest.fixture(scope="module")
-def shared_process_backend():
-    backend = make_backend("process", n_procs=2)
-    yield backend
-    backend.close()
-
-
-class TestCrashContainment:
-    def test_sigkill_fails_only_that_shard(self):
+    def test_stage_hook_emits_one_envelope_per_stage(self):
+        """One ``assembly`` and one ``solve`` span per call, both from
+        the calling thread, however many shards and size groups ran."""
         requests = requests_mixed()
-        backend = make_backend("process", n_procs=2)
-        try:
-            killed = []
+        stamps = []
 
-            def kill_first_shard(shard_index, worker):
-                if shard_index == 0:
-                    killed.append(worker.process.pid)
-                    os.kill(worker.process.pid, signal.SIGKILL)
+        def hook(stage, start, end, count):
+            stamps.append((stage, start, end, count, threading.get_ident()))
 
-            backend._after_dispatch = kill_first_shard
-            outcomes = backend.solve(requests)
-            backend._after_dispatch = None
-            assert killed
-            bounds = plan_shards(len(requests), 2)
-            start, stop = bounds[0]
-            for index, outcome in enumerate(outcomes):
-                if start <= index < stop:
-                    assert isinstance(outcome, ExecutionBackendError)
-                    assert "batchmates are unaffected" in str(outcome)
-                else:
-                    assert not isinstance(outcome, ExecutionBackendError)
-            stats = backend.stats()
-            assert stats["worker_crashes"] == 1
-            assert stats["worker_restarts"] == 1
-            assert stats["alive_workers"] == 2  # the pool re-formed
-            assert not stats["broken"]
-            # And the re-formed pool solves the next batch correctly.
-            baseline = serialized(requests, evaluate_requests(requests))
-            assert serialized(
-                requests, evaluate_requests(requests, backend=backend)
-            ) == baseline
-        finally:
-            backend.close()
-
-    def test_crashed_shard_error_is_a_serve_error(self):
-        # The serving path re-raises failures as fresh clones built
-        # from .args; the error must survive that round trip.
-        error = ExecutionBackendError("worker process crashed")
-        clone = type(error)(*error.args)
-        assert isinstance(clone, ServeError)
-        assert str(clone) == str(error)
-
-    def test_start_failure_degrades_to_inline(self, monkeypatch):
-        def refuse_to_spawn(self, index):
-            raise OSError("no forks today")
-
-        monkeypatch.setattr(ProcessBackend, "_spawn_worker", refuse_to_spawn)
-        backend = ProcessBackend(n_procs=2)
-        try:
-            stats = backend.stats()
-            assert stats["broken"] and stats["start_failures"] >= 1
-            requests = requests_mixed()
-            baseline = serialized(requests, evaluate_requests(requests))
-            outcomes = evaluate_requests(requests, backend=backend)
-            assert serialized(requests, outcomes) == baseline
-            assert backend.stats()["inline_fallbacks"] >= 1
-        finally:
-            backend.close()
-
-    def test_close_is_idempotent_and_falls_back_inline(self):
-        backend = make_backend("process", n_procs=2)
-        backend.close()
-        backend.close()
-        requests = requests_mixed()[:2]
-        baseline = serialized(requests, evaluate_requests(requests))
-        outcomes = evaluate_requests(requests, backend=backend)
-        assert serialized(requests, outcomes) == baseline
-        assert backend.stats()["inline_fallbacks"] >= 1
-        assert backend.stats()["alive_workers"] == 0
+        with_cores(2, solve_request_systems, requests, stage_hook=hook)
+        assert [stamp[0] for stamp in stamps] == ["assembly", "solve"]
+        for stage, start, end, count, thread in stamps:
+            assert end >= start
+            assert thread == threading.get_ident()
+        assert stamps[0][3] == len(requests)
+        assert stamps[1][3] == len(requests) - 1  # the bad geometry
+        assert stamps[0][1] <= stamps[1][1]
 
 
-class TestServiceIntegration:
-    def test_process_backend_service_matches_inline(self):
-        payloads = [{"airfoil": "2412", "alpha": float(a), "n_panels": 90}
-                    for a in range(4)]
-        with AnalysisService(exec_backend="inline", cache_size=0) as service:
-            baseline = [canonical_json(service.analyze(p)) for p in payloads]
-        with AnalysisService(exec_backend="process", exec_procs=2,
-                             cache_size=0) as service:
-            got = [canonical_json(service.analyze(p)) for p in payloads]
-            snapshot = service.metrics_snapshot()
-        assert got == baseline
-        section = snapshot["exec_backend"]
-        assert section["name"] == "process" and section["procs"] == 2
-        assert section["sharded_requests"] >= len(payloads)
+def fail_stacks(monkeypatch, should_fail):
+    """Make the batched LU raise for every stack ``should_fail`` picks.
 
-    def test_metrics_snapshot_always_has_backend_section(self, monkeypatch):
-        # The section must be present for the env-configured default
-        # backend too, whichever one the environment selects.
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        try:
-            with AnalysisService() as service:
-                section = service.metrics_snapshot()["exec_backend"]
-            assert section["name"] == "inline"
-        finally:
-            close_default_backend()
+    Returns the sizes of the stacks it failed, in order.
+    """
+    factor = api.batched_lu_factor
+    failed = []
+    lock = threading.Lock()
 
-    def test_prometheus_renders_backend_counters(self):
-        from repro.obs.prometheus import render_prometheus
+    def flaky_factor(matrices, **kwargs):
+        with lock:
+            fail = should_fail(matrices)
+            if fail:
+                failed.append(len(matrices))
+        if fail:
+            raise LinalgError("injected singular pivot")
+        return factor(matrices, **kwargs)
 
-        with AnalysisService(exec_backend="process", exec_procs=2) as service:
-            service.analyze({"airfoil": "0012", "n_panels": 60,
-                             "reynolds": 0})
-            text = render_prometheus(service.metrics_snapshot())
-        assert "# TYPE repro_exec_backend_worker_crashes counter" in text
-        assert "repro_exec_backend_procs 2" in text
+    monkeypatch.setattr(api, "batched_lu_factor", flaky_factor)
+    return failed
 
-    def test_borrowed_backend_is_not_closed_by_service(self):
-        backend = make_backend("process", n_procs=2)
-        try:
-            with AnalysisService(exec_backend=backend, cache_size=0) as service:
-                service.analyze({"airfoil": "2412", "n_panels": 60,
-                                 "reynolds": 0})
-            assert backend.stats()["alive_workers"] == 2  # still ours
-        finally:
-            backend.close()
 
-    def test_mid_batch_worker_crash_spares_batchmates(self):
-        """SIGKILL one of two shard workers mid-batch: exactly that
-        shard's requests fail with a ServeError, the rest complete, the
-        failure lands in /metrics, and the pool re-forms."""
-        backend = make_backend("process", n_procs=2)
-        try:
-            def kill_first_shard(shard_index, worker):
-                if shard_index == 0:
-                    os.kill(worker.process.pid, signal.SIGKILL)
+class TestFailureIsolation:
+    def test_group_failure_stays_inside_its_shard(self, monkeypatch):
+        requests = [AnalyzeRequest(airfoil="0012", alpha_degrees=float(a),
+                                   n_panels=40, reynolds=None)
+                    for a in range(8)]
+        requests[1] = AnalyzeRequest(airfoil="4412", n_panels=40,
+                                     reynolds=None)
+        clean = with_cores(1, solve_request_systems, requests[4:])
+        poison = assemble(requests[1].build_airfoil(),
+                          requests[1].freestream()).matrix
+        failed = fail_stacks(monkeypatch, lambda matrices: any(
+            np.array_equal(matrix, poison) for matrix in matrices))
+        outcomes = with_cores(2, solve_request_systems, requests)
+        assert failed == [4]
+        assert all(isinstance(entry, LinalgError) for entry in outcomes[:4])
+        assert_same_bits(outcomes[4:], clean)
 
-            with AnalysisService(exec_backend=backend, cache_size=0,
-                                 n_workers=1, max_batch=8,
-                                 max_wait=0.5) as service:
-                payloads = [{"airfoil": "2412", "alpha": float(a),
-                             "n_panels": 120, "reynolds": 0}
-                            for a in range(8)]
-                backend._after_dispatch = kill_first_shard
-                pendings = [service.submit(p) for p in payloads]
-                failures, successes = 0, 0
-                for pending in pendings:
-                    try:
-                        response = pending.result(timeout=60.0)
-                    except ServeError as error:
-                        assert "batchmates are unaffected" in str(error)
-                        failures += 1
-                    else:
-                        assert response["airfoil"].startswith("NACA")
-                        successes += 1
-                backend._after_dispatch = None
-                assert failures == 4 and successes == 4
-                counters = service.metrics_snapshot()["requests"]
-                assert counters["failed"] == 4
-                assert counters["completed"] == 4
-                # The pool re-formed: the next request solves sharded.
-                again = service.analyze({"airfoil": "0012", "n_panels": 64,
-                                         "reynolds": 0})
-                assert again["cl"] == pytest.approx(0.0, abs=1e-9)
-                assert backend.stats()["alive_workers"] == 2
-        finally:
-            backend._after_dispatch = None
-            backend.close()
-
-    def test_env_selected_backend_reaches_evaluate_requests(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
-        monkeypatch.setenv("REPRO_EXEC_PROCS", "2")
-        close_default_backend()
-        try:
-            requests = requests_mixed()[:2]
-            monkeypatch.delenv("REPRO_EXEC_BACKEND")
-            monkeypatch.delenv("REPRO_EXEC_PROCS")
-            close_default_backend()
-            baseline = serialized(requests, evaluate_requests(requests))
-            monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
-            monkeypatch.setenv("REPRO_EXEC_PROCS", "2")
-            assert serialized(requests, evaluate_requests(requests)) == baseline
-            assert isinstance(default_backend(), ProcessBackend)
-        finally:
-            close_default_backend()
+    def test_batched_generation_keeps_the_serial_records(self, monkeypatch):
+        evaluator = FitnessEvaluator(layout=GenomeLayout(n_upper=5, n_lower=5),
+                                     n_panels=40, reynolds=4e5)
+        rng = np.random.default_rng(3)
+        population = [evaluator.layout.random_genome(rng) for _ in range(16)]
+        serial = [evaluator.evaluate(genome) for genome in population]
+        calls = itertools.count()
+        failed = fail_stacks(monkeypatch,
+                             lambda matrices: next(calls) == 0)
+        monkeypatch.setattr(api, "usable_cores", lambda: 2)
+        batched = BatchedGenerationEvaluator(evaluator)(population)
+        solvable = sum(evaluator.build_airfoil(genome)[1] is None
+                       for genome in population)
+        assert solvable >= 2 * MIN_SYSTEMS_PER_SHARD  # the stack was split
+        assert len(failed) == 1 and failed[0] < solvable
+        for expected, record in zip(serial, batched):
+            assert records_identical(expected, record)

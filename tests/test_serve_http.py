@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -89,6 +90,45 @@ class TestEndpoints:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{server.port}/nope", timeout=10)
         assert excinfo.value.code == 404
+
+
+class TestPanelCountBound:
+    def test_oversized_request_is_400_and_its_batchmate_is_200(self):
+        """An ``n_panels`` far past the cap is refused before admission,
+        so it never shares a micro-batch with a valid request: its
+        assembly alone would need hundreds of GiB, and the resulting
+        MemoryError would fail the whole batch."""
+        service = AnalysisService(max_batch=2, max_wait=0.5, cache_size=0,
+                                  n_workers=1)
+        server = start_server(service)
+        statuses = {}
+
+        def post(name, payload):
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/analyze",
+                data=json.dumps(payload).encode("utf-8"), method="POST")
+            try:
+                with urllib.request.urlopen(request, timeout=30.0) as answer:
+                    statuses[name] = answer.status
+            except urllib.error.HTTPError as error:
+                statuses[name] = error.code
+
+        threads = [
+            threading.Thread(target=post, args=(
+                "oversized", {"airfoil": "2412", "n_panels": 200000})),
+            threading.Thread(target=post, args=(
+                "valid", {"airfoil": "2412", "n_panels": 60})),
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            server.stop()
+            assert service.close(timeout=10.0)
+        assert statuses == {"oversized": 400, "valid": 200}
 
 
 class TestServerLifecycle:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.api import (
+    MAX_PANELS,
     AnalyzeRequest,
     analyze,
     canonical_json,
@@ -51,10 +52,24 @@ class TestAnalyzeRequest:
         {"airfoil": "2412", "n_panels": 2},
         {"airfoil": "2412", "precision": "half"},
         {"airfoil": ""},
+        {"airfoil": "2412", "n_panels": 200.7},  # non-integral
+        {"airfoil": "2412", "n_panels": True},
+        {"airfoil": "2412", "n_panels": "200"},
+        {"airfoil": "2412", "n_panels": 201},  # odd
+        {"airfoil": "2412", "n_panels": 3},
+        {"airfoil": "2412", "n_panels": MAX_PANELS + 2},
+        {"airfoil": "2412", "n_panels": 200000},
     ])
     def test_invalid_payloads_rejected(self, payload):
         with pytest.raises(ServeError):
             AnalyzeRequest.from_dict(payload)
+
+    def test_integral_float_panel_count_accepted(self):
+        request = AnalyzeRequest.from_dict({"airfoil": "2412",
+                                            "n_panels": 200.0})
+        assert request.n_panels == 200 and type(request.n_panels) is int
+        assert AnalyzeRequest(airfoil="2412",
+                              n_panels=MAX_PANELS).n_panels == MAX_PANELS
 
     def test_airfoil_object_not_serializable(self, naca0012):
         request = AnalyzeRequest(airfoil=naca0012, n_panels=naca0012.n_panels)

@@ -26,11 +26,6 @@ BATCHING_COSTS = {
 }
 
 
-class FakeBackend:
-    def stats(self):
-        return {"procs": 1}
-
-
 class FakeLogger:
     def __init__(self):
         self.events = []
@@ -48,7 +43,6 @@ class FakeService:
         self.policy = policy
         self.n_workers = 1
         self.draining = False
-        self.execution_backend = FakeBackend()
         self.assembly_kernel = None
         self.logger = FakeLogger()
         self.applied = []

@@ -105,10 +105,10 @@ class TestImprovementSemantics:
         from repro.tune.calibrate import ServingPrediction
 
         return ServingPrediction(
-            policy=BatchPolicy(max_batch=1, max_wait=0.0), exec_procs=1,
-            batch_size=1.0, service_seconds=latency,
-            latency_seconds=latency, throughput_rps=throughput,
-            feasible=feasible, utilization=0.5 if feasible else 2.0)
+            policy=BatchPolicy(max_batch=1, max_wait=0.0), batch_size=1.0,
+            service_seconds=latency, latency_seconds=latency,
+            throughput_rps=throughput, feasible=feasible,
+            utilization=0.5 if feasible else 2.0)
 
     def _recommendation(self, now, best):
         config = CandidateConfig(max_batch=1, max_wait=0.0)
