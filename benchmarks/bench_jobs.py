@@ -3,13 +3,13 @@
 Two sections, one JSON artifact (``BENCH_jobs.json``):
 
 * **Generation evaluation** — the same GA population evaluated by the
-  serial per-genome loop (one ``lu_factor``/``lu_solve`` pair each)
-  and by :class:`~repro.jobs.BatchedGenerationEvaluator`, which stacks
-  every feasible candidate of the generation into one batched LU
-  through the shared request path.  This is the paper's argument
-  applied to the optimizer's inner loop: the GA offers a naturally
-  batched workload (population evaluation), and the batched kernels
-  collapse it into a handful of stacked solves.  The two paths are
+  serial per-genome loop (one stack-of-one LAPACK solve each) and by
+  :class:`~repro.jobs.BatchedGenerationEvaluator`, which stacks every
+  feasible candidate of the generation into one LAPACK call through
+  the shared request path (sharded over threads for large stacks).
+  This is the paper's argument applied to the optimizer's inner loop:
+  the GA offers a naturally batched workload (population evaluation),
+  collapsed into a handful of stacked solves.  The two paths are
   asserted bit-identical before any timing is reported.
 * **Checkpoint overhead** — one job driven through the
   :class:`~repro.jobs.JobRunner` with a checkpoint after every

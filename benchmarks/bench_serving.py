@@ -163,7 +163,7 @@ def run_sweep(*, smoke=False):
 
 #: Assembly-bound workload shape: distinct geometries at the paper's
 #: reference panel count, inviscid, so per-request assembly dominates
-#: over the (vectorized, stack-wide) LU and the viscous pass.
+#: over the stacked LAPACK solve and the viscous pass.
 ASSEMBLY_BOUND_PANELS = 200
 ASSEMBLY_BOUND_REQUESTS = 24
 SMOKE_ASSEMBLY_BOUND_REQUESTS = 8

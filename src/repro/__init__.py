@@ -19,7 +19,8 @@ Subpackages
 ``repro.geometry``
     Airfoils, NACA generators, B-splines.
 ``repro.linalg``
-    From-scratch (batched) LU factorization.
+    The stacked LAPACK solve every panel system goes through, and the
+    from-scratch (batched) LU kept as its test oracle.
 ``repro.panel``
     The vortex panel method (the paper's inner solver).
 ``repro.viscous``

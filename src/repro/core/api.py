@@ -11,7 +11,7 @@ Three entry points mirror the three things the paper does:
 
 The serving wire format also lives here: :class:`AnalyzeRequest`
 describes one evaluation, :func:`evaluate_requests` runs a stack of
-them through the batched assembly/LU path, and
+them through the stacked assembly and LAPACK solve path, and
 :func:`serialize_analysis` / :func:`canonical_json` render the result.
 The CLI's ``--json`` output and the :mod:`repro.serve` HTTP responses
 share all three, so both produce byte-identical records for identical
@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ReproError, ServeError
+from repro.errors import LinalgError, ReproError, ServeError
 from repro.geometry.airfoil import Airfoil
 from repro.geometry.naca import naca
 from repro.hardware.host import paper_workstation
@@ -40,7 +40,7 @@ from repro.optimize.fitness import FitnessEvaluator
 from repro.optimize.ga import GAConfig, GeneticOptimizer
 from repro.optimize.genome import GenomeLayout
 from repro.optimize.history import OptimizationHistory
-from repro.linalg import batched_lu_factor, batched_lu_solve
+from repro.linalg import condition_estimate_1norm, solve_stack
 from repro.panel.assembly import assemble
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
@@ -265,11 +265,13 @@ class AnalyzeRequest:
     accepted for in-process use).  ``reynolds=None`` skips the viscous
     pass.
 
-    :meth:`run` evaluates through the *batched* assembly/LU path (a
+    :meth:`run` evaluates through the stacked assembly/solve path (a
     stack of one), so an offline CLI evaluation and a served one
-    compute bit-identical numbers — the batched kernels are
-    elementwise across the stack, making each result independent of
-    what else shares its micro-batch.
+    compute bit-identical numbers — LAPACK solves each member of a
+    stack on its own, making each result independent of what else
+    shares its micro-batch.  :func:`analyze` solves through the same
+    :func:`repro.linalg.solve_stack`, so it agrees with :meth:`run` to
+    the bit as well.
     """
 
     airfoil: Union[str, Airfoil]
@@ -412,7 +414,7 @@ class SolvedSystem:
 
 #: Fewest systems each thread must get before a stack is split across
 #: threads.  On a 2-core host two threads already solve 8 n=200 systems
-#: about 30% faster than one (the "Sharding" table in
+#: about 20% faster than one (the "Sharding" table in
 #: ``docs/serving.md``), while the 1-2 request micro-batches of light
 #: serving traffic stay in the calling thread.
 MIN_SYSTEMS_PER_SHARD = 4
@@ -459,13 +461,36 @@ def merge_envelope(spans: Sequence[Tuple[float, float]]
     return min(start for start, _ in spans), max(end for _, end in spans)
 
 
+def _solve_members(members, matrices: np.ndarray, rhs: np.ndarray,
+                   results: List) -> List:
+    """Solve a group one system at a time after its stack failed.
+
+    A stack of one gives the same bits as the member inside the stack,
+    so the survivors keep their stacked answer; each singular member
+    gets its own :class:`LinalgError` with its condition estimate.
+    Returns the ``(member, row)`` pairs that solved.
+    """
+    solved = []
+    for member, matrix, vector in zip(members, matrices, rhs):
+        index, system = member
+        try:
+            solved.append((member, solve_stack(matrix[None], vector[None])[0]))
+        except LinalgError:
+            results[index] = LinalgError(
+                f"singular panel system for {system.airfoil.name} "
+                f"(n={matrix.shape[0]}): 1-norm condition estimate "
+                f"{condition_estimate_1norm(matrix):.3g}"
+            )
+    return solved
+
+
 def _assemble_and_solve(requests: Sequence[AnalyzeRequest], kernel) -> tuple:
-    """Assemble and LU-solve one contiguous run of requests.
+    """Assemble and solve one contiguous run of requests.
 
     Returns ``(results, stamps)``: one entry per request as
     :func:`solve_request_systems` documents, and ``{stage: [(start,
     end, count), ...]}`` for this shard's ``assembly`` loop and each
-    of its batched LU calls.
+    of its stacked solves.
     """
     results: List = [None] * len(requests)
     groups: dict = {}
@@ -487,45 +512,46 @@ def _assemble_and_solve(requests: Sequence[AnalyzeRequest], kernel) -> tuple:
         rhs = np.stack([system.rhs for _, system in members])
         solve_started = time.monotonic()
         try:
-            solved.append((members, batched_lu_solve(
-                batched_lu_factor(matrices, overwrite=True), rhs)))
-        except ReproError as error:
-            for index, _ in members:
-                results[index] = error
+            solved.extend(zip(members, solve_stack(matrices, rhs)))
+        except LinalgError:
+            solved.extend(_solve_members(members, matrices, rhs, results))
         finally:
             stamps.setdefault("solve", []).append(
                 (solve_started, time.monotonic(), len(members)))
-    for members, unknowns in solved:
-        for (index, system), row in zip(members, unknowns):
-            try:
-                gamma, constant = system.expand_solution(row)
-            except ReproError as error:
-                results[index] = error
-                continue
-            results[index] = SolvedSystem(
-                airfoil=system.airfoil, freestream=system.freestream,
-                closure=system.closure, gamma=gamma, constant=constant,
-            )
+    for (index, system), row in solved:
+        try:
+            gamma, constant = system.expand_solution(row)
+        except ReproError as error:
+            results[index] = error
+            continue
+        results[index] = SolvedSystem(
+            airfoil=system.airfoil, freestream=system.freestream,
+            closure=system.closure, gamma=gamma, constant=constant,
+        )
     return results, stamps
 
 
 def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
                           stage_hook=None, kernel=None) -> List:
-    """Assemble and LU-solve many requests.
+    """Assemble and solve many requests.
 
     Requests are grouped by system size and dtype; each group is
     assembled into one ``(batch, m, m)`` stack and solved with
-    :func:`repro.linalg.batched_lu_factor` — the code path the paper's
-    hardware timings describe.  When every usable core
+    :func:`repro.linalg.solve_stack` — LAPACK's ``getrf``/``getrs``
+    per member, as the paper's CPU solves.  When every usable core
     (:func:`usable_cores`) would get at least
     :data:`MIN_SYSTEMS_PER_SHARD` requests, the stack is cut into
     contiguous shards (:func:`plan_shards`) solved on a per-call thread
-    pool; numpy's array operations and the ``ctypes`` native kernel
-    release the GIL, so the shards overlap on a multi-core host.  The
-    batched kernels are elementwise across the stack, so a sharded
-    solve is bit-identical to an unsharded one.  The one difference is
-    blast radius: a group that fails to factor fails only within its
-    shard.
+    pool; numpy's array operations, LAPACK and the ``ctypes`` native
+    kernel release the GIL, so the shards overlap on a multi-core host.
+    LAPACK solves each member on its own with BLAS pinned to one
+    thread, so a sharded solve is bit-identical to an unsharded one.
+
+    A singular member fails alone: when a stack raises
+    :class:`LinalgError`, the group is re-solved one system at a time,
+    the survivors keep the bits they would have had in the stack, and
+    only the singular member gets a :class:`LinalgError` naming its
+    airfoil and its 1-norm condition estimate.
 
     ``stage_hook`` receives ``(stage, start, end, count)`` stamps from
     the calling thread: one ``"assembly"`` and one ``"solve"`` span,
@@ -564,9 +590,9 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
 
 def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
                       stage_hook=None, kernel=None) -> List:
-    """Evaluate many requests through the batched assembly/LU path.
+    """Evaluate many requests through the stacked assembly/solve path.
 
-    The assembly + batched LU runs in :func:`solve_request_systems`
+    The assembly and LAPACK solve run in :func:`solve_request_systems`
     (sharded across threads for large stacks); the viscous pass and
     response shaping run in the calling thread.
 

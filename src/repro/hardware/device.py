@@ -19,7 +19,7 @@ import numpy as np
 from repro.geometry.airfoil import Airfoil
 from repro.hardware.kernels import KernelCost, KernelModel
 from repro.hardware.specs import DeviceSpec
-from repro.linalg.batched import batched_lu_factor, batched_lu_solve
+from repro.linalg.lapack import solve_stack
 from repro.panel.assembly import Closure, assemble_batch
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
@@ -102,7 +102,7 @@ class SimulatedDevice:
         matrices, rhs = assembly.matrices, assembly.rhs
         if matrices is None or rhs is None or assembly.systems is None:
             raise ValueError("run_solve needs a functional AssemblyOutput")
-        unknowns = batched_lu_solve(batched_lu_factor(matrices), rhs)
+        unknowns = solve_stack(matrices, rhs)
         solutions = []
         for system, row in zip(assembly.systems, unknowns):
             gamma, constant = system.expand_solution(row)

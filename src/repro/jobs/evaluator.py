@@ -6,27 +6,27 @@ time.  :class:`BatchedGenerationEvaluator` is the drop-in replacement
 (:attr:`repro.optimize.ga.GeneticOptimizer.evaluate_all`) that stacks
 every feasible genome of a generation into one batch and routes it
 through :func:`repro.core.api.solve_request_systems` — the same
-stacked-assembly + batched-LU code the HTTP ``/analyze`` traffic uses,
+stacked assembly and LAPACK solve the HTTP ``/analyze`` traffic uses,
 sharded across threads when the generation is large enough.
 
-**Bit-for-bit parity.**  The batched LU kernels are elementwise across
-the stack, and the serial path evaluates through
-:meth:`PanelSolver.solve_batch` as a stack of one, so a genome scored
-here produces *exactly* the bytes it would produce serially:
+**Bit-for-bit parity.**  LAPACK solves each member of a stack on its
+own (with BLAS pinned to one thread), and the serial path evaluates
+through :meth:`PanelSolver.solve_batch` as a stack of one, so a genome
+scored here produces *exactly* the bytes it would produce serially:
 
 * pre-solve feasibility/geometry failures come from the shared
   :meth:`FitnessEvaluator.build_airfoil`;
-* the solve itself is ``assemble`` + batched LU in both paths, and a
-  matrix's factorization does not depend on its stackmates;
+* the solve itself is ``assemble`` + :func:`repro.linalg.solve_stack`
+  in both paths, and a matrix's factorization does not depend on its
+  stackmates;
 * post-solve classification (lift sign, viscous drag, ratios) is the
   shared :meth:`FitnessEvaluator.classify_solution`.
 
-The one divergence batching can introduce is *failure blast radius*:
-a singular matrix fails its whole (size, dtype) group within its
-shard.  Genomes whose batch outcome is a
-:class:`~repro.errors.LinalgError` are therefore re-evaluated serially
-— the serial path is a stack of one, so the retried record is the one
-the serial loop would have produced.
+A singular matrix fails only its own genome: the solve path re-solves
+a failed stack one system at a time.  That genome's
+:class:`~repro.errors.LinalgError` names the airfoil, not the serial
+loop's wording, so it is re-evaluated serially — a stack of one — and
+gets exactly the record the serial loop would have produced.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ class BatchedGenerationEvaluator:
 
     def _classify(self, genome: np.ndarray, entry) -> EvaluationRecord:
         if isinstance(entry, LinalgError):
-            # Group-level failure: the error may belong to a
-            # stackmate, not this genome.  Retry serially — a stack of
-            # one — which yields exactly the serial loop's record
-            # (including a genuine per-genome solve failure).
+            # This genome's own singular system.  Retry serially — a
+            # stack of one — so the record carries exactly the serial
+            # loop's failure text.
             return self.evaluator.evaluate(genome)
         if isinstance(entry, BaseException):
             # Anything else (assembly/geometry faults past the

@@ -1,9 +1,15 @@
-"""Dense linear algebra substrate: LU factorization, batched solves.
+"""Dense linear algebra: the LAPACK solve path and its LU oracle.
 
-Everything is implemented from scratch on top of NumPy array
-operations; no ``numpy.linalg`` or SciPy solver is called by the panel
-method, mirroring the paper's reliance on its own MKL/MAGMA kernels.
-The test suite cross-checks these routines against ``numpy.linalg``.
+Every panel system is solved by :func:`solve_stack`
+(:mod:`repro.linalg.lapack`), which hands a ``(batch, n, n)`` stack to
+LAPACK through ``numpy.linalg.solve`` with OpenBLAS pinned to one
+thread — the ``getrf``/``getrs`` calls the paper makes through MKL.
+
+The hand-written LU (:mod:`repro.linalg.lu`, :mod:`repro.linalg.batched`,
+:mod:`repro.linalg.triangular`) is the oracle: tests hold the LAPACK
+solves to a scaled-residual bound (:func:`relative_residual`) and
+``perfbench`` times it as a per-layer reference.  Its flop counts feed
+the hardware model.
 """
 
 from repro.linalg.analysis import (
@@ -13,7 +19,6 @@ from repro.linalg.analysis import (
     one_norm,
     relative_residual,
 )
-from repro.linalg.blocked import blocked_lu_factor, blocked_solve
 from repro.linalg.refinement import RefinementResult, refine_solve
 from repro.linalg.batched import (
     BatchedLU,
@@ -22,6 +27,7 @@ from repro.linalg.batched import (
     batched_lu_solve,
     batched_solve,
 )
+from repro.linalg.lapack import blas_threads, solve_stack
 from repro.linalg.lu import (
     LUFactorization,
     factor_flops,
@@ -36,13 +42,12 @@ __all__ = [
     "BatchedLU",
     "LUFactorization",
     "RefinementResult",
-    "blocked_lu_factor",
-    "blocked_solve",
     "refine_solve",
     "batched_flops",
     "batched_lu_factor",
     "batched_lu_solve",
     "batched_solve",
+    "blas_threads",
     "condition_estimate_1norm",
     "factor_flops",
     "frobenius_norm",
@@ -53,6 +58,7 @@ __all__ = [
     "relative_residual",
     "solve",
     "solve_flops",
+    "solve_stack",
     "solve_lower",
     "solve_lower_unit",
     "solve_upper",

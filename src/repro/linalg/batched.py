@@ -1,5 +1,10 @@
 """Batched LU factorization and solve over stacks of small matrices.
 
+This is the test oracle for :func:`repro.linalg.lapack.solve_stack`,
+which solves every panel system; nothing on the solve path calls it.
+Tests hold the LAPACK solves to it through a scaled-residual bound,
+and ``perfbench`` times it as a per-layer reference.
+
 The paper's workload is thousands of independent ~200 x 200 systems —
 exactly the regime where batched kernels (MKL's and MAGMA's batched
 ``getrf``) matter.  The implementation here vectorizes across the batch

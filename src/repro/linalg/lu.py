@@ -2,8 +2,11 @@
 
 The paper's linear solves are ``dgetrf``/``dgetrs`` calls on batches of
 small dense matrices (MKL on the CPU and Xeon Phi, MAGMA on the GPU).
-This module provides the single-matrix reference implementation; the
-batched variants live in :mod:`repro.linalg.batched`.
+The panel method makes those calls through
+:func:`repro.linalg.lapack.solve_stack`; this module is the
+single-matrix oracle it is tested against (the batched variant lives
+in :mod:`repro.linalg.batched`).  Its flop counts feed the hardware
+model's timings.
 """
 
 from __future__ import annotations

@@ -116,9 +116,9 @@ class FitnessEvaluator:
         """Score one genome, returning the full record.
 
         The solve runs through :meth:`PanelSolver.solve_batch` as a
-        stack of one: the batched LU kernels are elementwise across the
-        stack, so this produces the same bits as a genome evaluated in
-        the middle of a full-generation batch — the invariant the jobs
+        stack of one: LAPACK solves each member of a stack on its own,
+        so this produces the same bits as a genome evaluated in the
+        middle of a full-generation batch — the invariant the jobs
         subsystem's batched evaluator relies on.
         """
         airfoil, failed = self.build_airfoil(genome)

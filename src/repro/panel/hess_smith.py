@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import PanelMethodError
 from repro.geometry import points as pt
 from repro.geometry.airfoil import Airfoil
-from repro.linalg import lu_factor, lu_solve
+from repro.linalg import solve_stack
 from repro.panel.freestream import Freestream
 from repro.panel.influence import _safe_log_sq, velocity_influence
 
@@ -167,7 +167,7 @@ def solve_hess_smith(airfoil: Airfoil, freestream: Freestream = None) -> HessSmi
     matrix[n, n] = tangential_vortex.sum()
     rhs[n] = -(tangents[0] + tangents[n - 1]) @ freestream.velocity
 
-    unknowns = lu_solve(lu_factor(matrix, overwrite=True), rhs)
+    unknowns = solve_stack(matrix[None], rhs[None])[0]
     strengths, tau = unknowns[:n], float(unknowns[n])
 
     tangential = (

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import PanelMethodError
 from repro.geometry.airfoil import Airfoil
-from repro.linalg import lu_factor, lu_solve
+from repro.linalg import solve_stack
 from repro.panel.freestream import Freestream
 from repro.panel.influence import stream_influence_matrix, velocity_influence
 
@@ -133,7 +133,7 @@ def solve_multielement(elements: Sequence[Airfoil],
         matrix[row:row + count, column + body] = 1.0
         row += count
 
-    unknowns = lu_solve(lu_factor(matrix, overwrite=True), rhs)
+    unknowns = solve_stack(matrix[None], rhs[None])[0]
 
     gammas: List[np.ndarray] = []
     cursor = 0

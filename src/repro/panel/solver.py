@@ -1,7 +1,7 @@
 """High-level panel-method solver.
 
-Ties together assembly (:mod:`repro.panel.assembly`) and the in-house
-LU kernels (:mod:`repro.linalg`) and returns a
+Ties together assembly (:mod:`repro.panel.assembly`) and the stacked
+LAPACK solve (:func:`repro.linalg.solve_stack`) and returns a
 :class:`~repro.panel.solution.PanelSolution`.  This is the "inner
 solver" the paper's genetic optimizer calls thousands of times.
 """
@@ -14,8 +14,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.geometry.airfoil import Airfoil
-from repro.linalg import batched_lu_factor, batched_lu_solve, lu_factor, lu_solve
-from repro.panel.assembly import Closure, assemble, assemble_batch
+from repro.linalg import solve_stack
+from repro.panel.assembly import Closure, assemble_batch
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
 from repro.precision import Precision, PrecisionLike
@@ -47,33 +47,23 @@ class PanelSolver:
         return cls(precision=Precision.parse(precision), **kwargs)
 
     def solve(self, airfoil: Airfoil, freestream: Freestream = None) -> PanelSolution:
-        """Solve one airfoil/free-stream configuration."""
-        freestream = freestream or Freestream()
-        system = assemble(
-            airfoil, freestream, closure=self.closure, dtype=self.precision.dtype
-        )
-        unknowns = lu_solve(lu_factor(system.matrix), system.rhs)
-        gamma, constant = system.expand_solution(unknowns)
-        return PanelSolution(
-            airfoil=airfoil,
-            freestream=freestream,
-            closure=self.closure,
-            gamma=np.asarray(gamma, dtype=np.float64),
-            constant=constant,
-        )
+        """Solve one airfoil/free-stream configuration (a stack of one,
+        so the bits match the same airfoil inside any larger stack)."""
+        return self.solve_batch([airfoil], freestream)[0]
 
     def solve_batch(self, airfoils: Sequence[Airfoil],
                     freestream: Freestream = None) -> List[PanelSolution]:
-        """Solve many same-size configurations with the batched kernels.
+        """Solve many same-size configurations as one stack.
 
         This is the code path the hardware model's timing describes:
-        assemble a stack of matrices, then run a batched LU solve.
+        assemble a stack of matrices, then LU-solve the stack with
+        LAPACK.
         """
         freestream = freestream or Freestream()
         matrices, rhs, systems = assemble_batch(
             airfoils, freestream, closure=self.closure, dtype=self.precision.dtype
         )
-        unknowns = batched_lu_solve(batched_lu_factor(matrices, overwrite=True), rhs)
+        unknowns = solve_stack(matrices, rhs)
         solutions = []
         for system, row in zip(systems, unknowns):
             gamma, constant = system.expand_solution(row)

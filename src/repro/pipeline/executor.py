@@ -3,8 +3,8 @@
 The schedules in :mod:`repro.pipeline.schedules` carry only durations;
 this module runs the *same* slicing with real data: each slice's
 systems are genuinely assembled (NumPy, at the device's precision),
-"transferred" (the arrays change hands), and solved with the batched LU
-kernels — while the virtual clock advances by the calibrated model
+"transferred" (the arrays change hands), and solved as one LAPACK
+stack — while the virtual clock advances by the calibrated model
 times.  The result carries both the physics (one
 :class:`~repro.panel.solution.PanelSolution` per candidate, in order)
 and the timing (a :class:`~repro.pipeline.engine.Timeline` identical to
@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.geometry.airfoil import Airfoil
 from repro.hardware.host import Workstation
-from repro.linalg.batched import batched_lu_factor, batched_lu_solve
+from repro.linalg.lapack import solve_stack
 from repro.panel.assembly import Closure
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
@@ -89,8 +89,7 @@ def execute_hybrid(airfoils: Sequence[Airfoil], workstation: Workstation,
         matrix_dim = assembly.matrices.shape[1]
         # "Transfer": in-process, the arrays simply change owner; the
         # timing model charges the link below.
-        factors = batched_lu_factor(assembly.matrices, overwrite=True)
-        unknowns = batched_lu_solve(factors, assembly.rhs)
+        unknowns = solve_stack(assembly.matrices, assembly.rhs)
         for system, row in zip(assembly.systems, unknowns):
             gamma, constant = system.expand_solution(row)
             solutions.append(PanelSolution(

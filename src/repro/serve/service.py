@@ -42,6 +42,7 @@ from repro.core.api import (
     validate_deadline_ms,
 )
 from repro.errors import DeadlineExceededError, ServeError
+from repro.linalg import blas_threads
 from repro.obs.context import TraceContext
 from repro.obs.ids import coerce_request_id
 from repro.obs.logging import StructuredLogger
@@ -583,7 +584,9 @@ class AnalysisService:
         """The ``/metrics`` document: counters, queue depth, cache
         stats, and the live W/A/L/O ``stages`` aggregate (same
         vocabulary — and same ``O = W - L`` identity — as the
-        simulator's tables)."""
+        simulator's tables), plus the assembly kernel and
+        ``blas_threads``: the BLAS thread count solves are pinned to,
+        ``None`` when no OpenBLAS setter was found."""
         snapshot = self.metrics.snapshot(
             queue_depth=self.queue_depth, cache_stats=self.cache.stats()
         )
@@ -591,6 +594,7 @@ class AnalysisService:
         snapshot["stages_hist_ms"] = self.tracer.stage_histograms.snapshot()
         snapshot["slo"] = self.slo.snapshot()
         snapshot["assembly_kernel"] = self.assembly_kernel
+        snapshot["blas_threads"] = blas_threads()
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.metrics_snapshot()
         if self.autotuner is not None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import analyze, optimize, simulate_hybrid
 from repro.cli import main
+from repro.core.api import AnalyzeRequest, canonical_json, serialize_analysis
 from repro.geometry import naca
 
 
@@ -32,6 +33,22 @@ class TestAnalyze:
         analysis = analyze("NACA 2412", alpha_degrees=0.0, reynolds=None,
                            n_panels=100)
         assert analysis.solution.airfoil.name == "NACA 2412"
+
+    @pytest.mark.parametrize("section", ["0012", "2412", "4412", "23012"])
+    def test_matches_the_served_path_to_the_byte(self, section):
+        """``analyze()`` and ``AnalyzeRequest.run()`` (the path behind
+        ``analyze --json`` and ``/analyze``) solve with the same LAPACK
+        call, so their numbers agree to the last bit."""
+        for alpha in (0.0, 4.0, 8.0):
+            direct = analyze(section, alpha, reynolds=None)
+            request = AnalyzeRequest(airfoil=section, alpha_degrees=alpha,
+                                     reynolds=None)
+            served = request.run()
+            assert direct.cl == served.cl and direct.cm == served.cm
+            assert (direct.solution.gamma.tobytes()
+                    == served.solution.gamma.tobytes())
+            assert (canonical_json(serialize_analysis(request, direct))
+                    == canonical_json(serialize_analysis(request, served)))
 
 
 class TestOptimize:

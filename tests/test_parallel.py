@@ -4,10 +4,11 @@ Covers the shard plan, byte-identity of sharded and unsharded solves
 (including a hypothesis property over stack sizes on both sides of the
 cut-off, both precisions, two assembly kernels and mixed panel counts),
 the single wall-time envelope per stage, and failure isolation: a
-group that fails to factor fails only within its shard, and the GA's
-batched evaluator still returns the serial record for every genome.
+singular system fails only its own request, and the GA's batched
+evaluator still returns the serial record for every genome.
 """
 
+import dataclasses
 import itertools
 import threading
 
@@ -32,7 +33,6 @@ from repro.errors import GeometryError, LinalgError
 from repro.jobs import BatchedGenerationEvaluator
 from repro.optimize.fitness import FitnessEvaluator
 from repro.optimize.genome import GenomeLayout
-from repro.panel.assembly import assemble
 from tests.test_jobs_evaluator import records_identical
 
 
@@ -191,43 +191,55 @@ class TestByteIdentity:
 
 
 def fail_stacks(monkeypatch, should_fail):
-    """Make the batched LU raise for every stack ``should_fail`` picks.
+    """Make the stacked solve raise for every stack ``should_fail`` picks.
 
     Returns the sizes of the stacks it failed, in order.
     """
-    factor = api.batched_lu_factor
+    solve = api.solve_stack
     failed = []
     lock = threading.Lock()
 
-    def flaky_factor(matrices, **kwargs):
+    def flaky_solve(matrices, rhs):
         with lock:
             fail = should_fail(matrices)
             if fail:
                 failed.append(len(matrices))
         if fail:
             raise LinalgError("injected singular pivot")
-        return factor(matrices, **kwargs)
+        return solve(matrices, rhs)
 
-    monkeypatch.setattr(api, "batched_lu_factor", flaky_factor)
+    monkeypatch.setattr(api, "solve_stack", flaky_solve)
     return failed
 
 
 class TestFailureIsolation:
-    def test_group_failure_stays_inside_its_shard(self, monkeypatch):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_singular_member_fails_alone(self, monkeypatch, cores):
+        """A real all-zero matrix fails only its own request; every
+        batchmate gets the bits of a solve without it."""
         requests = [AnalyzeRequest(airfoil="0012", alpha_degrees=float(a),
                                    n_panels=40, reynolds=None)
                     for a in range(8)]
         requests[1] = AnalyzeRequest(airfoil="4412", n_panels=40,
                                      reynolds=None)
-        clean = with_cores(1, solve_request_systems, requests[4:])
-        poison = assemble(requests[1].build_airfoil(),
-                          requests[1].freestream()).matrix
-        failed = fail_stacks(monkeypatch, lambda matrices: any(
-            np.array_equal(matrix, poison) for matrix in matrices))
-        outcomes = with_cores(2, solve_request_systems, requests)
-        assert failed == [4]
-        assert all(isinstance(entry, LinalgError) for entry in outcomes[:4])
-        assert_same_bits(outcomes[4:], clean)
+        clean = with_cores(cores, solve_request_systems,
+                           requests[:1] + requests[2:])
+        original = api.assemble
+
+        def zero_for_4412(airfoil, *args, **kwargs):
+            system = original(airfoil, *args, **kwargs)
+            if airfoil.name.endswith("4412"):
+                return dataclasses.replace(
+                    system, matrix=np.zeros_like(system.matrix))
+            return system
+
+        monkeypatch.setattr(api, "assemble", zero_for_4412)
+        outcomes = with_cores(cores, solve_request_systems, requests)
+        error = outcomes[1]
+        assert isinstance(error, LinalgError)
+        assert "4412" in str(error)
+        assert "condition estimate inf" in str(error)
+        assert_same_bits(outcomes[:1] + outcomes[2:], clean)
 
     def test_batched_generation_keeps_the_serial_records(self, monkeypatch):
         evaluator = FitnessEvaluator(layout=GenomeLayout(n_upper=5, n_lower=5),

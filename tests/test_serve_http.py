@@ -10,8 +10,10 @@ import pytest
 
 from repro.core.api import AnalyzeRequest, canonical_json, serialize_analysis
 from repro.errors import DeadlineExceededError, ServeError
+from repro.linalg import blas_threads
 from repro.serve import AnalysisService, ServeClient, start_server
 from repro.serve.http import AnalysisHTTPServer
+from tests.test_obs import parse_prometheus
 
 
 @pytest.fixture
@@ -69,6 +71,19 @@ class TestEndpoints:
         assert set(metrics["latency_ms"]) == {"count", "mean", "p50", "p90",
                                               "p99", "max"}
         assert metrics["cache"]["capacity"] == 128
+
+    def test_blas_threads_reported_in_json_and_prometheus(self, served):
+        _, _, client = served
+        client.analyze("0012", 1.0, n_panels=60, reynolds=None)
+        expected = blas_threads()
+        assert client.metrics()["blas_threads"] == expected
+        samples, types, _ = parse_prometheus(client.metrics_prometheus())
+        if expected is None:  # NumPy without OpenBLAS: None is skipped
+            assert "repro_blas_threads" not in types
+        else:
+            assert expected == 1
+            assert samples[("repro_blas_threads", "")] == 1.0
+            assert types["repro_blas_threads"] == "gauge"
 
     def test_bad_json_is_400(self, served):
         _, server, _ = served
