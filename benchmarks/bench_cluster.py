@@ -63,7 +63,7 @@ def drive(n_replicas, *, n_clients, requests_per_client, kill_one=False):
     """
     services, servers = [], []
     for _ in range(n_replicas):
-        service = AnalysisService(max_batch=8, max_wait=0.002,
+        service = AnalysisService(max_batch=8,
                                   cache_size=256, n_workers=2,
                                   queue_limit=1024)
         services.append(service)

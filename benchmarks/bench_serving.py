@@ -41,12 +41,12 @@ from repro.core.api import AnalyzeRequest, evaluate_requests, usable_cores
 from repro.errors import DeadlineExceededError
 from repro.serve import AnalysisService
 
-#: (max_batch, max_wait_seconds) settings swept by the benchmark.
-SETTINGS = ((1, 0.0), (8, 0.002), (32, 0.01))
+#: ``max_batch`` settings swept by the benchmark.
+SETTINGS = (1, 8, 32)
 
 #: Reduced sweep used by ``--smoke`` (CI): one unbatched and one
 #: batched setting, smaller offered load, same assertions.
-SMOKE_SETTINGS = ((1, 0.0), (8, 0.002))
+SMOKE_SETTINGS = (1, 8)
 
 N_CLIENTS = 8
 REQUESTS_PER_CLIENT = 8
@@ -82,7 +82,7 @@ def _stage_breakdown(snapshot):
     return breakdown
 
 
-def drive(max_batch, max_wait, *, deadline_ms=None,
+def drive(max_batch, *, deadline_ms=None,
           n_clients=N_CLIENTS, requests_per_client=REQUESTS_PER_CLIENT):
     """Run one setting; returns the JSON summary row.
 
@@ -90,8 +90,8 @@ def drive(max_batch, max_wait, *, deadline_ms=None,
     :class:`DeadlineExceededError` is an expected outcome rather than a
     failure.
     """
-    service = AnalysisService(max_batch=max_batch, max_wait=max_wait,
-                              cache_size=256, n_workers=2, queue_limit=1024,
+    service = AnalysisService(max_batch=max_batch, cache_size=256,
+                              n_workers=2, queue_limit=1024,
                               default_deadline_ms=deadline_ms)
     errors = []
     deadline_hits = [0] * n_clients
@@ -127,7 +127,6 @@ def drive(max_batch, max_wait, *, deadline_ms=None,
         # (benchmarks/check_trend.py); every row solves in-process.
         "backend": "inline",
         "max_batch": max_batch,
-        "max_wait_ms": 1e3 * max_wait,
         "deadline_ms": deadline_ms,
         "requests": total,
         "wall_s": round(wall, 4),
@@ -152,12 +151,11 @@ def run_sweep(*, smoke=False):
     settings = SMOKE_SETTINGS if smoke else SETTINGS
     n_clients = SMOKE_CLIENTS if smoke else N_CLIENTS
     per_client = SMOKE_REQUESTS_PER_CLIENT if smoke else REQUESTS_PER_CLIENT
-    rows = [drive(max_batch, max_wait, n_clients=n_clients,
+    rows = [drive(max_batch, n_clients=n_clients,
                   requests_per_client=per_client)
-            for max_batch, max_wait in settings]
-    rows.append(drive(settings[-1][0], settings[-1][1],
-                      deadline_ms=PRESSURE_DEADLINE_MS, n_clients=n_clients,
-                      requests_per_client=per_client))
+            for max_batch in settings]
+    rows.append(drive(settings[-1], deadline_ms=PRESSURE_DEADLINE_MS,
+                      n_clients=n_clients, requests_per_client=per_client))
     return rows
 
 

@@ -1,7 +1,7 @@
 """Benchmark trend gate: fresh ``--smoke`` artifacts vs committed baselines.
 
 CI runs the four smoke benchmarks (``bench_serving.py``,
-``bench_kernels.py``, ``bench_cluster.py``, ``bench_autotune.py``),
+``bench_kernels.py``, ``bench_cluster.py``, ``bench_batching.py``),
 each of which writes a
 machine-readable ``BENCH_*.json`` artifact, then runs this script to
 compare the fresh numbers against the baselines committed under
@@ -41,7 +41,7 @@ BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 #: Artifact filenames the gate covers.
 ARTIFACTS = ("BENCH_serving.json", "BENCH_kernels.json",
-             "BENCH_cluster.json", "BENCH_autotune.json")
+             "BENCH_cluster.json", "BENCH_batching.json")
 
 #: Default noise band: a metric may move by this *fraction* in the bad
 #: direction before the gate fails (0.5 = half/double).
@@ -53,7 +53,7 @@ DEFAULT_TOLERANCE = 0.5
 #: fail when current > baseline * (1 + tolerance).
 SPECS = {
     "BENCH_serving.json": {
-        "key_fields": ("backend", "max_batch", "max_wait_ms", "deadline_ms"),
+        "key_fields": ("backend", "max_batch", "deadline_ms"),
         "higher": ("throughput_rps",),
         "lower": ("latency_p99_ms",),
     },
@@ -67,7 +67,7 @@ SPECS = {
         "higher": ("throughput_rps",),
         "lower": (),
     },
-    "BENCH_autotune.json": {
+    "BENCH_batching.json": {
         "key_fields": ("config",),
         "higher": ("throughput_rps",),
         "lower": (),

@@ -81,11 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub_serve.add_argument("--port", type=int, default=8000,
                            help="bind port (0 picks a free port)")
     sub_serve.add_argument("--max-batch", type=int, default=None,
-                           help="micro-batch size cap (default: derived from "
-                                "the pipeline slicing heuristics)")
-    sub_serve.add_argument("--max-wait-ms", type=float, default=None,
-                           help="micro-batch flush deadline in milliseconds "
-                                "(default: derived)")
+                           help="micro-batch size cap; a free worker solves "
+                                "whatever is queued, up to this many "
+                                "(default: the 64-request ceiling)")
     sub_serve.add_argument("--cache-size", type=int, default=1024,
                            help="LRU result-cache capacity (0 disables)")
     sub_serve.add_argument("--workers", type=int, default=2,
@@ -137,21 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub_serve.add_argument("--job-slots", type=int, default=1, metavar="N",
                            help="optimization jobs run concurrently "
                                 "(default 1)")
-    sub_serve.add_argument("--autotune", choices=["off", "advise", "apply"],
-                           default=None,
-                           help="online autotuning of the batching policy: "
-                                "advise journals recommendations, apply also "
-                                "swaps the live policy (default: the "
-                                "REPRO_AUTOTUNE env var, else off; see "
-                                "docs/autotune.md)")
-    sub_serve.add_argument("--autotune-interval", type=float, default=30.0,
-                           metavar="SECONDS",
-                           help="autotune control-loop period (default 30)")
-    sub_serve.add_argument("--autotune-min-improvement", type=float,
-                           default=0.10, metavar="FRACTION",
-                           help="hysteresis: minimum predicted fractional "
-                                "improvement before the autotuner acts "
-                                "(default 0.10)")
 
     connection = argparse.ArgumentParser(add_help=False)
     connection.add_argument("--host", default="127.0.0.1",
@@ -266,20 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                                metavar="FRACTION",
                                help="cluster availability/latency objective "
                                     "in (0, 1) (default 0.99)")
-    cluster_route.add_argument("--autotune",
-                               choices=["off", "advise", "apply"],
-                               default=None,
-                               help="per-replica routing-weight tuning: "
-                                    "advise journals recommendations, apply "
-                                    "also reweights the hash ring (default: "
-                                    "REPRO_AUTOTUNE, else off)")
-    cluster_route.add_argument("--autotune-interval", type=float,
-                               default=30.0, metavar="SECONDS",
-                               help="weight-tuning loop period (default 30)")
-    cluster_route.add_argument("--autotune-min-improvement", type=float,
-                               default=0.10, metavar="FRACTION",
-                               help="minimum fraction of traffic a reweight "
-                                    "must move before acting (default 0.10)")
     cluster_sub.add_parser(
         "status", parents=[connection],
         help="print a running router's /cluster/status document",
@@ -290,12 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run_serve(arguments) -> int:
     """The ``serve`` command: start the service and block until SIGINT."""
     from repro.obs.logging import make_logger
-    from repro.serve import AnalysisService, start_server
+    from repro.serve import MAX_BATCH_CEILING, AnalysisService, start_server
 
-    max_wait = (None if arguments.max_wait_ms is None
-                else arguments.max_wait_ms / 1e3)
     service = AnalysisService(
-        max_batch=arguments.max_batch, max_wait=max_wait,
+        max_batch=(MAX_BATCH_CEILING if arguments.max_batch is None
+                   else arguments.max_batch),
         cache_size=arguments.cache_size, n_workers=arguments.workers,
         queue_limit=arguments.queue_limit,
         default_deadline_ms=arguments.default_deadline_ms,
@@ -306,25 +274,19 @@ def run_serve(arguments) -> int:
         slo_target=arguments.slo_target,
         assembly_kernel=arguments.assembly_kernel,
         jobs_dir=arguments.jobs_dir, job_slots=arguments.job_slots,
-        autotune=arguments.autotune,
-        autotune_interval=arguments.autotune_interval,
-        autotune_min_improvement=arguments.autotune_min_improvement,
     )
     server = start_server(service, host=arguments.host, port=arguments.port)
-    policy = service.policy
     deadline = ("none" if service.default_deadline_ms is None
                 else f"{service.default_deadline_ms:g} ms")
     jobs_info = ("off" if service.jobs is None
                  else f"{arguments.jobs_dir} x{arguments.job_slots}")
     print(f"repro serve listening on http://{arguments.host}:{server.port}  "
-          f"(max_batch={policy.max_batch}, "
-          f"max_wait={1e3 * policy.max_wait:.1f} ms, "
+          f"(max_batch={service.max_batch}, "
           f"cache={service.cache.capacity}, workers={arguments.workers}, "
           f"queue_limit={arguments.queue_limit}, "
           f"default_deadline={deadline}, "
           f"assembly_kernel={service.assembly_kernel}, "
           f"jobs={jobs_info}, "
-          f"autotune={'off' if service.autotuner is None else service.autotuner.config.mode}, "
           f"trace_sample={arguments.trace_sample:g}, "
           f"log_format={arguments.log_format})", flush=True)
     try:
@@ -421,9 +383,6 @@ def run_cluster(arguments) -> int:
         logger=make_logger(arguments.log_format),
         slo_latency_ms=arguments.slo_latency_ms,
         slo_target=arguments.slo_target,
-        autotune=arguments.autotune,
-        autotune_interval=arguments.autotune_interval,
-        autotune_min_improvement=arguments.autotune_min_improvement,
     )
     router.start()
     server = start_cluster_server(router, host=arguments.host,
@@ -437,7 +396,6 @@ def run_cluster(arguments) -> int:
           f"state_dir={arguments.state_dir or 'none'}, "
           f"trace_sample={arguments.trace_sample:g}, "
           f"slo={arguments.slo_latency_ms:g}ms@{arguments.slo_target:g}, "
-          f"autotune={'off' if router.autotuner is None else router.autotuner.config.mode}, "
           f"log_format={arguments.log_format})", flush=True)
     try:
         while not server.wait(3600.0):

@@ -136,8 +136,6 @@ class _ClusterHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.server.router.status())
         elif route == "/debug/trace":
             self._handle_debug_trace(query)
-        elif route == "/debug/autotune":
-            self._handle_debug_autotune()
         elif route == "/jobs" or route.startswith("/jobs/"):
             self._handle_jobs_get(route, query)
         else:
@@ -175,16 +173,6 @@ class _ClusterHandler(BaseHTTPRequestHandler):
                          "(expected 'json' or 'prometheus')",
                 "type": "ServeError",
             })
-
-    def _handle_debug_autotune(self) -> None:
-        """The weight tuner's recommendation and decision journal."""
-        autotuner = self.server.router.autotuner
-        if autotuner is None:
-            self._send_json(404, {"error": "autotuning is not enabled "
-                                           "(start with --autotune)",
-                                  "type": "NotFound"})
-            return
-        self._send_json(200, autotuner.debug_document())
 
     def _handle_debug_trace(self, query: dict) -> None:
         """The stitched distributed trace (ASCII Gantt or JSON)."""

@@ -56,7 +56,6 @@ class RouterMetrics:
         "trace_pulls",         # replica /debug/trace/<id> fetches tried
         "trace_pull_failures",  # pulls that errored or missed the ring
         "traces_stitched",     # multi-hop traces assembled successfully
-        "ring_reweights",      # weighted ring rebuilds applied by autotune
     )
 
     def __init__(self) -> None:

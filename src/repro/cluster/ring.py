@@ -77,25 +77,15 @@ class HashRing:
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
 
-    def add(self, node: str, *, weight: float = 1.0) -> None:
-        """Add *node* (its vnodes join the ring).
-
-        ``weight`` scales the node's vnode count relative to the ring
-        default — a node of weight 2.0 owns roughly twice the arc of a
-        weight-1.0 node, which is how the cluster autotuner shifts
-        traffic toward faster replicas without abandoning consistent
-        hashing (vnode labels stay ``node#index``, so a reweight only
-        moves the keys on the arcs actually gained or lost).
-        """
+    def add(self, node: str) -> None:
+        """Add *node* (its vnodes join the ring)."""
         if not isinstance(node, str) or not node:
             raise ClusterError(f"ring node must be a non-empty string, "
                                f"got {node!r}")
         if node in self._nodes:
             raise ClusterError(f"ring already contains node {node!r}")
-        if not weight > 0.0:
-            raise ClusterError(f"ring weight must be positive, got {weight!r}")
         points = []
-        for index in range(max(1, round(self.vnodes * float(weight)))):
+        for index in range(self.vnodes):
             point = _point(f"{node}#{index}")
             # sha256 collisions across distinct vnode labels are not a
             # practical concern, but a deterministic tie-break keeps

@@ -172,15 +172,6 @@ class ClusterRouter:
         Cluster-level service objectives (client-observed, measured at
         the router — includes routing and failover time the per-replica
         SLOs cannot see).
-    autotune:
-        Per-replica weight tuning mode: ``"off"``, ``"advise"``
-        (recommend + journal), or ``"apply"`` (additionally rebuild the
-        ring with throughput-proportional weights).  ``None`` reads
-        ``REPRO_AUTOTUNE``.  See ``docs/autotune.md``.
-    autotune_interval, autotune_min_improvement:
-        Loop period and the minimum fraction of traffic a reweight must
-        move before the tuner acts (every reweight costs cache locality
-        on the keys that change owner).
     """
 
     def __init__(self, replicas: Sequence[str], *,
@@ -192,10 +183,7 @@ class ClusterRouter:
                  trace_sample: float = 1.0, trace_ring: int = 256,
                  logger: Optional[StructuredLogger] = None,
                  slo_latency_ms: float = 250.0,
-                 slo_target: float = 0.99,
-                 autotune: Optional[str] = None,
-                 autotune_interval: float = 30.0,
-                 autotune_min_improvement: float = 0.10) -> None:
+                 slo_target: float = 0.99) -> None:
         if not replicas:
             raise ClusterError("a cluster needs at least one --replica")
         self.replicas: Dict[str, Replica] = {}
@@ -220,23 +208,6 @@ class ClusterRouter:
         self.last_request_id: Optional[str] = None
         self._migration_lock = threading.Lock()
         self._migrations: List[threading.Thread] = []
-        self._base_vnodes = int(vnodes)
-        self._weights: Dict[str, float] = {
-            name: 1.0 / len(self.replicas) for name in self.replicas
-        }
-        #: The :class:`~repro.tune.ClusterAutotuner` when weight tuning
-        #: is enabled, else ``None``; its loop starts with :meth:`start`.
-        self.autotuner = None
-        from repro.tune.controller import AutotuneConfig, resolve_mode
-
-        mode = resolve_mode(autotune)
-        if mode != "off":
-            from repro.tune.controller import ClusterAutotuner
-
-            self.autotuner = ClusterAutotuner(self, AutotuneConfig(
-                mode=mode, interval=autotune_interval,
-                min_improvement=autotune_min_improvement,
-            ), start_thread=False)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -247,8 +218,6 @@ class ClusterRouter:
         """Probe every replica once, then start background polling."""
         self.health.check_now()
         self.health.start()
-        if self.autotuner is not None:
-            self.autotuner.start()
         return self
 
     def close(self, timeout: float = 10.0) -> None:
@@ -256,8 +225,6 @@ class ClusterRouter:
         if self._closed:
             return
         self._closed = True
-        if self.autotuner is not None:
-            self.autotuner.close()
         self.health.close(timeout)
         for thread in self._migrations:
             thread.join(timeout)
@@ -320,41 +287,6 @@ class ClusterRouter:
             trace.add_stage(SPAN_HEALTH_LOOKUP, route_ended, health_ended)
         ordered = [name for name in preference if name in routable]
         return ordered or preference
-
-    # ------------------------------------------------------------------
-    # Routing weights (the cluster autotuner's apply path)
-    # ------------------------------------------------------------------
-
-    def current_weights(self) -> Dict[str, float]:
-        """The routing weight share each replica currently holds."""
-        return dict(self._weights)
-
-    def apply_weights(self, weights: Dict[str, float]) -> None:
-        """Rebuild the ring with per-replica vnode counts scaled by
-        *weights* (shares summing to ~1; a weight of ``1/n`` keeps the
-        default vnode count).
-
-        The rebuild is a single attribute swap — lookups in flight keep
-        the old ring, the next lookup sees the new one — and vnode
-        labels are unchanged, so only the arcs a replica gained or lost
-        move keys (the usual consistent-hashing guarantee, now applied
-        to reweighting).
-        """
-        if self._closed:
-            raise ClusterError("router is closed; cannot reweight the ring")
-        n = len(self.replicas)
-        ring = HashRing(vnodes=self._base_vnodes)
-        resolved = {}
-        for name in sorted(self.replicas):
-            share = float(weights.get(name, 1.0 / n))
-            ring.add(name, weight=share * n)
-            resolved[name] = share
-        self.ring = ring
-        self._weights = resolved
-        self.metrics.increment("ring_reweights")
-        self.logger.event("ring_reweighted", weights={
-            name: round(share, 4) for name, share in sorted(resolved.items())
-        })
 
     # ------------------------------------------------------------------
     # Analyze routing
@@ -906,8 +838,6 @@ class ClusterRouter:
             "total": len(placements),
             "live": sum(1 for placement in placements if placement.live),
         }
-        if self.autotuner is not None:
-            router["autotune"] = self.autotuner.snapshot()
         snapshots: Dict[str, Optional[dict]] = {}
         for name in sorted(self.replicas):
             try:
@@ -921,9 +851,7 @@ class ClusterRouter:
         states = self.health.states()
         return {
             "ring": {"vnodes": self.ring.vnodes,
-                     "replicas": len(self.replicas),
-                     "weights": {name: round(share, 4)
-                                 for name, share in sorted(self._weights.items())}},
+                     "replicas": len(self.replicas)},
             "replicas": {
                 name: {
                     "url": replica.base_url,

@@ -61,15 +61,6 @@ class CalibrationError(ReproError):
     """Raised when calibration data is missing or self-inconsistent."""
 
 
-class TuneError(ReproError):
-    """Raised by the online autotuner for unusable inputs.
-
-    Examples: a metrics window with too little traffic to fit stage
-    throughputs, a malformed candidate grid, or an autotune mode string
-    that is neither ``off``, ``advise``, nor ``apply``.
-    """
-
-
 class ServeError(ReproError):
     """Raised by the serving subsystem for invalid requests or misuse.
 

@@ -113,8 +113,8 @@ def calibrate_from_measurement(device: DeviceSpec, precision, *,
                                batch: int, n: int) -> KernelCalibration:
     """Back out Table-2-style anchors from a *live* measurement.
 
-    The online autotuner measures how long this machine actually spends
-    assembling and solving ``batch`` systems of size ``n``; rescaling by
+    Given how long this machine actually spends assembling and solving
+    ``batch`` systems of size ``n``, rescaling by
     the kernels' arithmetic complexity (``n^2`` for assembly, the LU
     flop ratio for solve) converts that measurement into the same
     per-matrix-at-``REFERENCE_N`` anchors Table 2 provides, so the whole

@@ -57,9 +57,8 @@ class Workstation:
     def with_cpu_calibration(self, calibration) -> "Workstation":
         """A copy whose host runs at a *fitted* kernel calibration.
 
-        The online autotuner measures the serving host's real assembly
-        and solve throughputs and re-anchors the simulated CPU with
-        them (see
+        Measured assembly and solve throughputs of a real host
+        re-anchor the simulated CPU (see
         :func:`repro.hardware.calibration.calibrate_from_measurement`),
         so the paper's schedules and tuners predict for the machine
         actually serving traffic instead of the paper's.

@@ -51,10 +51,6 @@ COUNTER_KEYS = frozenset({
     "availability_good", "availability_bad", "latency_good", "latency_bad",
     # distributed tracing
     "traces_stitched", "trace_pulls", "trace_pull_failures",
-    # online autotuning (the "autotune" snapshot section; "decisions"
-    # stays a gauge — the journal is a bounded ring)
-    "cycles", "applies", "advises", "holds", "cycle_errors",
-    "ring_reweights",
 })
 
 #: ``pXX`` quantile keys: two or more digits read as decimal fraction

@@ -1,8 +1,9 @@
 """repro.serve: the batched airfoil-evaluation service.
 
 Turns the library's batched panel solver into a long-running request
-path: a dynamic micro-batcher coalesces concurrent analyze requests
-into stacks for the batched LU kernels, a genome-keyed LRU cache
+path: a micro-batcher stacks the analyze requests that queue while a
+worker is busy (an idle worker solves what it has at once, with no
+flush timer), a genome-keyed LRU cache
 short-circuits repeats, a bounded worker pool sheds load instead of
 melting, and a stdlib-only HTTP front end exposes the whole thing as
 ``python -m repro serve``.
@@ -28,7 +29,7 @@ Quickstart (in-process)::
 
     from repro.serve import AnalysisService
 
-    with AnalysisService(max_batch=16, max_wait=0.002) as service:
+    with AnalysisService(max_batch=16) as service:
         record = service.analyze({"airfoil": "2412", "alpha_degrees": 4.0})
         print(record["cl"], service.metrics_snapshot()["cache"])
 
@@ -42,10 +43,14 @@ Quickstart (over HTTP)::
     print(client.analyze("2412", 4.0)["cl"])
     server.stop(); service.close()
 
-See ``docs/serving.md`` for architecture and tuning.
+See ``docs/serving.md`` for the architecture.
 """
 
-from repro.serve.batcher import BatchPolicy, collect_batch, suggested_policy
+from repro.serve.batcher import (
+    MAX_BATCH_CEILING,
+    collect_batch,
+    validate_max_batch,
+)
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.http import AnalysisHTTPServer, start_server
@@ -57,7 +62,7 @@ from repro.serve.workers import PendingResult, WorkerPool
 __all__ = [
     "AnalysisHTTPServer",
     "AnalysisService",
-    "BatchPolicy",
+    "MAX_BATCH_CEILING",
     "PendingResult",
     "ResultCache",
     "ServeClient",
@@ -66,5 +71,5 @@ __all__ = [
     "WorkerPool",
     "collect_batch",
     "start_server",
-    "suggested_policy",
+    "validate_max_batch",
 ]

@@ -4,146 +4,69 @@ Coalescing concurrent requests into stacks is the serving analogue of
 the paper's pipeline slicing: the offline pipeline cuts one huge batch
 into slices small enough to overlap assembly and solve, while the
 service glues many tiny requests into slices big enough to amortize
-per-call overhead.  Both land on the same sweet spot, so the default
-knobs here are derived from the pipeline's closed-form slicing
-heuristic (:func:`repro.pipeline.theory.optimal_slice_count`) rather
-than guessed.
+per-call overhead.  Slicing pays only when a transfer or a second
+stage can hide behind compute; a lone request has neither, so the
+service never holds one back waiting for batchmates.
+
+The rule is to *drain* the queue: a worker takes the request it was
+woken for plus whatever is already queued, up to ``max_batch``, and
+solves at once.  Batches still grow with load, because requests queue
+while every worker is busy, but an idle worker never sits on a
+request.  There is no timer and no knob besides ``max_batch``, the
+memory ceiling of one stack.
 
 Two pieces live here:
 
-* :class:`BatchPolicy` / :func:`suggested_policy` — the max-batch and
-  flush-deadline knobs;
-* :func:`collect_batch` — the queue-draining loop a worker runs to
-  coalesce one micro-batch.
+* :func:`validate_max_batch` — the one batching setting, checked;
+* :func:`collect_batch` — the queue drain a worker runs to coalesce
+  one micro-batch.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import math
 import queue as queue_module
-import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ServeError
 
-#: Hard ceiling on a micro-batch: beyond this, stacking stops paying
-#: for the extra queueing latency at serving concurrency levels.
+#: Default and ceiling of a micro-batch: beyond this, one stack's
+#: influence matrices stop fitting comfortably in cache and memory.
 MAX_BATCH_CEILING = 64
 
-#: Flush-deadline clamp in seconds: never flush so eagerly that a
-#: same-millisecond burst is split, never hold a request visibly long.
-MIN_WAIT, MAX_WAIT = 5e-4, 5e-2
 
+def validate_max_batch(max_batch) -> int:
+    """Return *max_batch* as a positive integer, or raise :class:`ServeError`.
 
-@dataclasses.dataclass(frozen=True)
-class BatchPolicy:
-    """The micro-batcher's two knobs.
-
-    Parameters
-    ----------
-    max_batch:
-        Flush as soon as this many requests are coalesced.
-    max_wait:
-        Flush when the oldest request in the forming batch has waited
-        this long (seconds), even if the batch is not full.
+    A fractional value (say 2.7) is refused rather than truncated: a
+    silently smaller cap reads as a throughput regression with no error
+    anywhere.
     """
-
-    max_batch: int = 32
-    max_wait: float = 0.005
-
-    def __post_init__(self) -> None:
-        try:
-            batch = int(self.max_batch)
-        except (TypeError, ValueError):
-            raise ServeError(f"max_batch must be an integer, got {self.max_batch!r}")
-        if batch != self.max_batch:
-            # A fractional max_batch (say 2.7) used to be silently
-            # truncated to 2 — flushing earlier than configured, which
-            # reads as a throughput regression with no error anywhere.
-            raise ServeError(f"max_batch must be an integer, got {self.max_batch!r}")
-        if batch < 1:
-            raise ServeError(f"max_batch must be at least 1, got {self.max_batch}")
-        object.__setattr__(self, "max_batch", batch)
-        wait = float(self.max_wait)
-        if not math.isfinite(wait) or wait < 0.0:
-            raise ServeError(f"max_wait must be finite and >= 0, got {self.max_wait}")
-        object.__setattr__(self, "max_wait", wait)
+    try:
+        batch = int(max_batch)
+    except (TypeError, ValueError):
+        raise ServeError(f"max_batch must be an integer, got {max_batch!r}")
+    if batch != max_batch:
+        raise ServeError(f"max_batch must be an integer, got {max_batch!r}")
+    if batch < 1:
+        raise ServeError(f"max_batch must be at least 1, got {max_batch}")
+    return batch
 
 
-@functools.lru_cache(maxsize=32)
-def _heuristic_knobs(n_panels: int) -> Tuple[int, float]:
-    """Slice-derived (max_batch, max_wait) defaults for one system size.
-
-    The paper's GA keeps ~4096 candidates in flight; the closed-form
-    slicing optimum for that workload on the reference workstation
-    gives the per-slice stack size the whole repo is tuned around.
-    That stack size (clamped) becomes ``max_batch``, and the simulated
-    host time to solve one such slice becomes the flush deadline —
-    waiting longer than one slice's worth of work costs more latency
-    than the batching saves.
-    """
-    from repro.hardware.host import paper_workstation
-    from repro.pipeline.theory import optimal_slice_count
-    from repro.pipeline.workload import Workload
-    from repro.precision import Precision
-
-    reference_batch = 4096
-    workload = Workload(batch=reference_batch, n=n_panels,
-                        precision=Precision.DOUBLE)
-    workstation = paper_workstation(sockets=2, accelerator="k80-half")
-    n_slices = optimal_slice_count(workload, workstation)
-    per_slice = max(1, reference_batch // max(1, n_slices))
-    max_batch = max(1, min(MAX_BATCH_CEILING, per_slice))
-    slice_solve = workstation.cpu.solve_seconds(per_slice, n_panels)
-    max_wait = min(MAX_WAIT, max(MIN_WAIT, slice_solve))
-    return max_batch, max_wait
-
-
-def suggested_policy(n_panels: int = 200, *, max_batch: Optional[int] = None,
-                     max_wait: Optional[float] = None) -> BatchPolicy:
-    """A :class:`BatchPolicy` seeded by the pipeline slicing heuristics.
-
-    Explicit ``max_batch`` / ``max_wait`` values override the derived
-    defaults individually, so operators can pin one knob and let the
-    heuristic pick the other.
-    """
-    if int(n_panels) < 3:
-        raise ServeError(f"n_panels must be at least 3, got {n_panels}")
-    derived_batch, derived_wait = _heuristic_knobs(int(n_panels))
-    return BatchPolicy(
-        max_batch=derived_batch if max_batch is None else max_batch,
-        max_wait=derived_wait if max_wait is None else max_wait,
-    )
-
-
-def collect_batch(source: "queue_module.Queue", first_item, policy: BatchPolicy, *,
-                  sentinel=None, clock=time.monotonic,
-                  drop=None, on_admit=None, enqueued_at=None) -> Tuple[List, bool]:
+def collect_batch(source: "queue_module.Queue", first_item, max_batch: int,
+                  *, sentinel=None, drop=None,
+                  on_admit=None) -> Tuple[List, bool]:
     """Coalesce one micro-batch starting from an already-dequeued item.
 
-    Drains *source* until the batch holds ``policy.max_batch`` items or
-    the *oldest admitted item* has waited ``policy.max_wait`` since it
-    was enqueued; a backlog present at the deadline is still drained
-    without waiting, so a congested queue always flushes full stacks.
-
-    *enqueued_at*, when given, maps an item to the ``clock()`` stamp at
-    which it entered the queue; the flush deadline is anchored there.
-    This matters whenever the worker dequeues *first_item* later than
-    it was submitted (a solve was in flight, say): ``max_wait`` is a
-    promise about how long a request may sit waiting for batchmates,
-    and anchoring at collection start silently extended that promise by
-    the whole queue wait.  Without *enqueued_at* the deadline falls
-    back to collection start (the old behavior, correct only when the
-    queue wait is negligible).
+    Takes *first_item* plus whatever *source* already holds, in FIFO
+    order, until the batch has *max_batch* items or the queue is
+    empty, and returns without waiting for more.
 
     *drop*, when given, is consulted for every dequeued item (including
     *first_item*): returning True discards the item instead of batching
     it — this is where expired or cancelled requests are shed *before*
     they cost a solve slot.  The callable owns any accounting or waiter
     notification for what it drops, and dropped items do not count
-    toward ``max_batch``, so dead work never displaces live work.
+    toward *max_batch*, so dead work never displaces live work.
 
     *on_admit*, when given, is called with every item that joins the
     batch, at the moment it joins — the tracing hook that marks the end
@@ -157,32 +80,17 @@ def collect_batch(source: "queue_module.Queue", first_item, policy: BatchPolicy,
     collected so far is returned, and ``saw_sentinel`` is True.
     """
     items: List = []
-    deadline: Optional[float] = None
 
     def admit(item) -> None:
-        nonlocal deadline
         if drop is None or not drop(item):
             if on_admit is not None:
                 on_admit(item)
             items.append(item)
-            if deadline is None and enqueued_at is not None:
-                # Anchor at the oldest *admitted* item: dropped items
-                # never waited for this batch, so they cannot shorten
-                # its window.
-                deadline = float(enqueued_at(item)) + policy.max_wait
 
-    started = clock()
     admit(first_item)
-    while len(items) < policy.max_batch:
-        # No anchored deadline yet (no enqueued_at, or everything so
-        # far was dropped): fall back to the collection-start anchor.
-        effective = deadline if deadline is not None else started + policy.max_wait
-        remaining = effective - clock()
+    while len(items) < max_batch:
         try:
-            if remaining <= 0.0:
-                item = source.get_nowait()
-            else:
-                item = source.get(timeout=remaining)
+            item = source.get_nowait()
         except queue_module.Empty:
             break
         if sentinel is not None and item is sentinel:

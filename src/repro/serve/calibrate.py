@@ -2,8 +2,7 @@
 
 The pipeline simulator and the serving tracer already speak the same
 W/A/L/O vocabulary (assembly / solve / postprocess / serialize spans on
-both sides); this module closes the loop by *fitting* that model from
-production aggregates:
+both sides); this module *fits* that model from production aggregates:
 
 * :func:`fit_stage_means` reduces a ``/metrics`` window (one snapshot,
   or the delta between two) to mean per-request stage costs, the
@@ -18,11 +17,12 @@ production aggregates:
   supplies the curve and the live window pins its level.
 * :class:`CalibratedWorkstation` combines the two into per-stage
   :class:`StageCost` models whose :meth:`~CalibratedWorkstation.simulate`
-  predicts per-request latency and throughput capacity for *any*
-  :class:`~repro.serve.batcher.BatchPolicy`, and whose
+  predicts per-request latency and throughput capacity of the batcher's
+  drain rule at any ``max_batch``, and whose
   :meth:`~CalibratedWorkstation.validate` checks the prediction against
-  the measured latency of the window before anyone is allowed to act
-  on it.
+  the measured latency of the window.
+* :func:`recommend_weights` turns per-replica windows into routing
+  weights proportional to each replica's measured service rate.
 
 The fitted throughputs also flow back into the paper's own tuner:
 :meth:`CalibratedWorkstation.as_workstation` rebuilds a simulator
@@ -39,8 +39,7 @@ import math
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import TuneError
-from repro.serve.batcher import BatchPolicy
+from repro.errors import CalibrationError
 
 #: Stage names the serving path records and the model fits.
 FITTED_STAGES = ("assembly", "solve", "postprocess", "serialize")
@@ -68,8 +67,8 @@ def delta_counter(snapshot: dict, previous: Optional[dict],
 
 
 def _delta_histogram(snapshot: dict, previous: Optional[dict],
-                     *path: str) -> Dict[int, float]:
-    """Window delta of a ``{str(size): count}`` histogram."""
+                     *path: str) -> Dict[str, float]:
+    """Window delta of a ``{label: count}`` histogram (positive bins only)."""
     def walk(document: Optional[dict]) -> dict:
         node = document
         for key in path:
@@ -79,12 +78,16 @@ def _delta_histogram(snapshot: dict, previous: Optional[dict],
         return node if isinstance(node, dict) else {}
 
     current, earlier = walk(snapshot), walk(previous)
-    window: Dict[int, float] = {}
-    for size, count in current.items():
-        gained = float(count) - float(earlier.get(size, 0))
+    window: Dict[str, float] = {}
+    for label, count in current.items():
+        gained = float(count) - float(earlier.get(label, 0))
         if gained > 0.0:
-            window[int(size)] = gained
+            window[str(label)] = gained
     return window
+
+
+def _sized(histogram: Dict[str, float]) -> Dict[int, float]:
+    return {int(size): count for size, count in histogram.items()}
 
 
 def _request_weighted_mean(histogram: Dict[int, float]) -> float:
@@ -109,12 +112,6 @@ def _stage_window(snapshot: dict, previous: Optional[dict],
     if count <= 0.0:
         return 0.0, 0.0
     return count, sum_ms / count / 1e3
-
-
-def _dominant(histogram: Dict[int, float], default: int) -> int:
-    if not histogram:
-        return default
-    return max(histogram.items(), key=lambda item: (item[1], item[0]))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,13 +176,13 @@ def fit_stage_means(snapshot: dict, previous: Optional[dict] = None, *,
 
     *snapshot* (and optionally *previous*, for a delta window) are
     ``AnalysisService.metrics_snapshot()`` documents.  Raises
-    :class:`~repro.errors.TuneError` when the window holds fewer than
-    *min_samples* traced solve observations — fitting throughputs from
-    a handful of spans would just launder noise into decisions.
+    :class:`~repro.errors.CalibrationError` when the window holds fewer
+    than *min_samples* traced solve observations — fitting throughputs
+    from a handful of spans would just launder noise into the model.
     """
-    solve_count, solve_mean = _stage_window(snapshot, previous, "solve")
+    solve_count, _solve_mean = _stage_window(snapshot, previous, "solve")
     if solve_count < min_samples:
-        raise TuneError(
+        raise CalibrationError(
             f"window has {int(solve_count)} traced solve spans; need at "
             f"least {min_samples} to fit stage throughputs"
         )
@@ -203,20 +200,16 @@ def fit_stage_means(snapshot: dict, previous: Optional[dict] = None, *,
     arrival_rate = admitted / window_seconds if window_seconds > 0.0 else 0.0
     hit_fraction = min(1.0, hits / admitted) if admitted > 0.0 else 0.0
 
-    batch_hist = _delta_histogram(snapshot, previous,
-                                  "batching", "batch_size_histogram")
-    stack_hist = _delta_histogram(snapshot, previous,
-                                  "batching", "stack_size_histogram")
-    workload = snapshot.get("workload", {})
-    n_hist = _delta_histogram(snapshot, previous,
-                              "workload", "n_panels_histogram")
-    precision_hist: Dict[str, float] = {}
-    current = workload.get("precision_histogram", {})
-    earlier = (previous or {}).get("workload", {}).get("precision_histogram", {})
-    for name, count in current.items():
-        gained = float(count) - float(earlier.get(name, 0))
-        if gained > 0.0:
-            precision_hist[str(name)] = gained
+    batch_hist = _sized(_delta_histogram(snapshot, previous,
+                                         "batching", "batch_size_histogram"))
+    stack_hist = _sized(_delta_histogram(snapshot, previous,
+                                         "batching", "stack_size_histogram"))
+    n_hist = _sized(_delta_histogram(snapshot, previous,
+                                     "workload", "n_panels_histogram"))
+    precision_hist = _delta_histogram(snapshot, previous,
+                                      "workload", "precision_histogram")
+    n_panels = (max(n_hist.items(), key=lambda item: (item[1], item[0]))[0]
+                if n_hist else default_n_panels)
     precision = (max(precision_hist.items(), key=lambda item: item[1])[0]
                  if precision_hist else "double")
 
@@ -238,7 +231,7 @@ def fit_stage_means(snapshot: dict, previous: Optional[dict] = None, *,
         mean_batch=_request_weighted_mean(batch_hist),
         mean_stack=_request_weighted_mean(stack_hist),
         traced=solve_count,
-        n_panels=_dominant(n_hist, default_n_panels),
+        n_panels=n_panels,
         precision=precision,
         measured_latency_ms=measured,
     )
@@ -259,7 +252,7 @@ class StageCost:
     def __post_init__(self) -> None:
         if (not math.isfinite(self.setup) or not math.isfinite(self.unit)
                 or self.setup < 0.0 or self.unit < 0.0):
-            raise TuneError(
+            raise CalibrationError(
                 f"stage costs must be finite and >= 0, "
                 f"got setup={self.setup!r} unit={self.unit!r}"
             )
@@ -294,7 +287,7 @@ def probe_stage_curves(*, n_panels: int, precision: str = "double",
 
     sizes = sorted({int(size) for size in sizes})
     if len(sizes) < 2 or sizes[0] < 1:
-        raise TuneError(
+        raise CalibrationError(
             f"probe sizes must be >= 2 distinct positive batch sizes, "
             f"got {sizes!r}"
         )
@@ -332,10 +325,7 @@ def probe_stage_curves(*, n_panels: int, precision: str = "double",
         for stage in FITTED_STAGES:
             samples[stage].append((float(size), best.get(stage, 0.0)))
 
-    curves: Dict[str, StageCost] = {}
-    for stage, points in samples.items():
-        curves[stage] = _fit_line(points)
-    return curves
+    return {stage: _fit_line(points) for stage, points in samples.items()}
 
 
 def _fit_line(points: Sequence[Tuple[float, float]]) -> StageCost:
@@ -361,9 +351,9 @@ def _fit_line(points: Sequence[Tuple[float, float]]) -> StageCost:
 
 @dataclasses.dataclass(frozen=True)
 class ServingPrediction:
-    """What the model expects one policy to do under the observed mix."""
+    """What the model expects one ``max_batch`` to do under the observed mix."""
 
-    policy: BatchPolicy
+    max_batch: int
     batch_size: float
     service_seconds: float
     latency_seconds: float
@@ -377,8 +367,7 @@ class ServingPrediction:
 
     def to_dict(self) -> dict:
         return {
-            "max_batch": self.policy.max_batch,
-            "max_wait_ms": 1e3 * self.policy.max_wait,
+            "max_batch": self.max_batch,
             "predicted_batch": round(self.batch_size, 2),
             "predicted_latency_ms": round(self.latency_ms, 3),
             "predicted_throughput_rps": round(self.throughput_rps, 1),
@@ -389,7 +378,7 @@ class ServingPrediction:
 
 @dataclasses.dataclass(frozen=True)
 class CalibrationReport:
-    """Predicted-vs-measured check gating the apply path."""
+    """Predicted-vs-measured latency check of a fitted model."""
 
     predicted_latency_ms: float
     measured_latency_ms: Optional[float]
@@ -480,52 +469,46 @@ class CalibratedWorkstation:
         return sum(cost.batch_seconds(stack if stage == "solve" else batch)
                    for stage, cost in self.costs.items())
 
-    def simulate(self, policy: BatchPolicy, *,
+    def simulate(self, max_batch: int, *,
                  arrival_rate: Optional[float] = None,
                  n_workers: int = 1) -> ServingPrediction:
-        """Steady-state prediction for *policy* under the observed mix.
+        """Steady-state prediction of the drain rule under the observed mix.
 
-        The expected flush size is the fixed point of ``B = min(max_batch,
-        max(1, rate * max(max_wait, service(B))))`` — under light load
-        batches only grow while the oldest request is willing to wait,
-        under saturation they grow to the service time itself (arrivals
-        accumulate while the worker is busy), capped by the policy.
+        The batcher drains what is queued, so the expected flush size is
+        the fixed point of ``B = min(max_batch, max(1, rate *
+        service(B)))``: arrivals accumulate only while the worker is
+        busy, capped by *max_batch*.
 
         The window's measured in-flight population
         (:attr:`ObservedMix.concurrency`) then floors the flush size: a
-        standing queue is drained ``min(max_batch, pending)`` at a time
-        no matter how short ``max_wait`` is, and the arrival-rate fixed
-        point alone cannot see that queue because a saturated system
-        admits exactly as fast as it completes.  The same population
-        bounds latency from below via Little's law (``pending /
-        throughput``), which is what the closed-loop clients actually
-        observe.
+        standing queue is drained ``min(max_batch, pending)`` at a time,
+        and the arrival-rate fixed point alone cannot see that queue
+        because a saturated system admits exactly as fast as it
+        completes.  The same population bounds latency from below via
+        Little's law (``pending / throughput``), which is what
+        closed-loop clients actually observe.
         """
         rate = self.mix.arrival_rate if arrival_rate is None else float(arrival_rate)
+        workers = max(1, int(n_workers))
         batch = 1.0
         for _ in range(32):
-            window = max(policy.max_wait,
-                         self.service_seconds(batch) / max(1, int(n_workers)))
-            target = min(float(policy.max_batch), max(1.0, rate * window))
+            busy = self.service_seconds(batch) / workers
+            target = min(float(max_batch), max(1.0, rate * busy))
             if abs(target - batch) < 1e-6:
                 batch = target
                 break
             batch = target
         pending = self.mix.concurrency
         if pending > batch:
-            batch = min(float(policy.max_batch), pending)
+            batch = min(float(max_batch), pending)
         service = self.service_seconds(batch)
-        throughput = max(1, int(n_workers)) * batch / service if service > 0.0 else math.inf
-        # Mean wait for the batch to fill: half the fill window, bounded
-        # by the flush deadline.
-        fill = (batch - 1.0) / rate if rate > 0.0 else 0.0
-        wait = min(policy.max_wait, fill) / 2.0
-        latency = wait + service
+        throughput = workers * batch / service if service > 0.0 else math.inf
+        latency = service
         if pending > 0.0 and throughput > 0.0:
             latency = max(latency, pending / throughput)
         utilization = rate / throughput if throughput > 0.0 else math.inf
         return ServingPrediction(
-            policy=policy,
+            max_batch=int(max_batch),
             batch_size=batch,
             service_seconds=service,
             latency_seconds=latency,
@@ -534,10 +517,10 @@ class CalibratedWorkstation:
             utilization=utilization,
         )
 
-    def validate(self, policy: BatchPolicy, *, n_workers: int = 1,
+    def validate(self, max_batch: int, *, n_workers: int = 1,
                  tolerance: float = 0.5) -> CalibrationReport:
         """Check the model against the window's measured latency."""
-        prediction = self.simulate(policy, n_workers=n_workers)
+        prediction = self.simulate(max_batch, n_workers=n_workers)
         return CalibrationReport(
             predicted_latency_ms=prediction.latency_ms,
             measured_latency_ms=self.mix.measured_latency_ms,
@@ -576,3 +559,58 @@ class CalibratedWorkstation:
                        for stage, cost in sorted(self.costs.items())},
             "mix": self.mix.to_dict(),
         }
+
+
+# ----------------------------------------------------------------------
+# Cluster windows: per-replica service rates
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class WeightRecommendation:
+    """Routing weights proportional to measured per-replica service rate.
+
+    ``shift`` is half the L1 distance from the uniform split — the
+    fraction of traffic that would move if the weights were applied.
+    """
+
+    weights: Dict[str, float]
+    rates: Dict[str, float]
+    shift: float
+
+    def to_dict(self) -> dict:
+        return {
+            "weights": {name: round(weight, 4)
+                        for name, weight in sorted(self.weights.items())},
+            "service_rates_rps": {name: round(rate, 2)
+                                  for name, rate in sorted(self.rates.items())},
+            "shift": round(self.shift, 4),
+        }
+
+
+def recommend_weights(replica_windows: Dict[str, dict]) -> WeightRecommendation:
+    """Per-replica weights from ``/metrics`` windows.
+
+    *replica_windows* maps replica name to a dict with the window's
+    ``completed`` count and ``latency_sum_ms``.  A replica's service
+    rate is ``completed / in-request seconds`` — requests finished per
+    second of time actually spent serving them — the live analogue of
+    :func:`repro.pipeline.heterogeneous.balanced_fractions`'s
+    throughput-proportional split.  Replicas with no completions in the
+    window keep a uniform share (no evidence either way).
+    """
+    if not replica_windows:
+        raise CalibrationError("no replica windows to recommend weights from")
+    rates: Dict[str, float] = {}
+    for name, window in replica_windows.items():
+        completed = float(window.get("completed", 0.0))
+        busy_seconds = float(window.get("latency_sum_ms", 0.0)) / 1e3
+        rates[name] = completed / busy_seconds if busy_seconds > 0.0 else 0.0
+    positive = [rate for rate in rates.values() if rate > 0.0]
+    fallback = (sum(positive) / len(positive)) if positive else 1.0
+    effective = {name: (rate if rate > 0.0 else fallback)
+                 for name, rate in rates.items()}
+    total = sum(effective.values())
+    weights = {name: rate / total for name, rate in effective.items()}
+    uniform = 1.0 / len(weights)
+    shift = 0.5 * sum(abs(weight - uniform) for weight in weights.values())
+    return WeightRecommendation(weights=weights, rates=rates, shift=shift)

@@ -7,7 +7,10 @@ Endpoints:
   CLI's ``analyze --json`` for the same input.
 * ``POST /analyze_batch`` — ``{"requests": [...]}``; responds
   ``{"request_id", "results": [...]}`` with a record or
-  ``{"error", "type"}`` object per item, preserving order.
+  ``{"error", "type"}`` object per item, preserving order.  Every
+  item is queued before any is awaited; items that queue while a
+  worker is busy share its next stack, so a large batch may be solved
+  as a few stacks rather than one.
 * ``GET /healthz`` — liveness plus queue depth.
 * ``GET /metrics`` — the service's counter snapshot (JSON), including
   the live W/A/L/O ``stages`` section; ``?format=prometheus`` or the
@@ -16,9 +19,6 @@ Endpoints:
   request traces (``?format=json`` for span trees).
 * ``GET /debug/trace/<trace_id>`` — one retained span tree by id (the
   lookup the cluster router stitches distributed traces from).
-* ``GET /debug/autotune`` — the autotuner's latest calibration, sweep
-  table, and decision journal (404 unless ``--autotune`` is on;
-  ``?format=ascii`` for the rendered table).  See ``docs/autotune.md``.
 
 Every request gets a request ID — accepted via ``X-Repro-Request-Id``
 or generated — which is echoed in the ``X-Repro-Request-Id`` response
@@ -176,8 +176,6 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             self._handle_debug_trace(query)
         elif route.startswith("/debug/trace/"):
             self._handle_debug_trace_lookup(route)
-        elif route == "/debug/autotune":
-            self._handle_debug_autotune(query)
         elif route == "/jobs" or route.startswith("/jobs/"):
             self._handle_jobs_get(route, query)
         else:
@@ -235,31 +233,6 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             self._send_json(400, {
                 "error": f"unknown trace format {fmt!r} "
                          "(expected 'ascii' or 'json')",
-                "type": "ServeError",
-            })
-
-    def _handle_debug_autotune(self, query: dict) -> None:
-        """``GET /debug/autotune`` — latest sweep, calibration, journal.
-
-        404s when the service was started without ``--autotune``; JSON
-        by default, ``?format=ascii`` renders the sweep table.
-        """
-        autotuner = self.server.service.autotuner
-        if autotuner is None:
-            self._send_json(404, {"error": "autotuning is not enabled "
-                                           "(start with --autotune)",
-                                  "type": "NotFound"})
-            return
-        fmt = query.get("format", ["json"])[-1]
-        if fmt == "json":
-            self._send_json(200, autotuner.debug_document())
-        elif fmt == "ascii":
-            self._send_body(200, autotuner.render_table().encode("utf-8"),
-                            content_type="text/plain; charset=utf-8")
-        else:
-            self._send_json(400, {
-                "error": f"unknown autotune format {fmt!r} "
-                         "(expected 'json' or 'ascii')",
                 "type": "ServeError",
             })
 
@@ -461,8 +434,8 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         except ServeError as error:
             self._send_json(400, _error_body(error))
             return
-        # Submit everything before waiting on anything, so the whole
-        # HTTP batch can coalesce into as few solve stacks as possible.
+        # Submit everything before waiting on anything, so items that
+        # queue while a worker is busy share its next solve stack.
         # A per-item deadline_ms field overrides the header deadline;
         # the batch's single request ID tags every item.
         pendings = []

@@ -29,9 +29,8 @@ def percentile(sorted_values, fraction: float) -> Optional[float]:
 
     ``fraction`` must lie in ``[0.0, 1.0]``; ``0.0`` returns the true
     minimum and ``1.0`` the true maximum.  Out-of-range fractions raise
-    :class:`ValueError` instead of silently clamping — the autotuner
-    sweeps quantile grids and a typo'd ``1.5`` must not masquerade as
-    the max.
+    :class:`ValueError` instead of silently clamping — a typo'd ``1.5``
+    must not masquerade as the max.
     """
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(
@@ -125,7 +124,7 @@ class ServiceMetrics:
             self._cancelled += 1
 
     def record_workload(self, n_panels: int, precision: str) -> None:
-        """One admitted request's problem shape (autotuner calibration input)."""
+        """One admitted request's problem shape (calibration input)."""
         with self._lock:
             self._n_panels_hist[int(n_panels)] += 1
             self._precision_hist[str(precision)] += 1

@@ -10,8 +10,9 @@ Request lifecycle:
    resolves immediately, a miss is enqueued through the pool's bounded
    admission (shedding with :class:`~repro.errors.OverloadedError` when
    full).
-2. **Coalescing** — a worker drains the queue into a micro-batch under
-   the :class:`~repro.serve.batcher.BatchPolicy`.  Requests whose
+2. **Coalescing** — a worker takes the request it was woken for plus
+   whatever is already queued, up to ``max_batch``, and solves at once
+   (see :func:`~repro.serve.batcher.collect_batch`).  Requests whose
    deadline has expired, or whose submitter cancelled, are dropped
    *here* — before they cost an assembly+LU solve — and counted in
    ``/metrics`` as ``expired`` / ``cancelled``.
@@ -48,7 +49,7 @@ from repro.obs.ids import coerce_request_id
 from repro.obs.logging import StructuredLogger
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import Trace, walo_summary
-from repro.serve.batcher import BatchPolicy, suggested_policy
+from repro.serve.batcher import MAX_BATCH_CEILING
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.tracing import (
@@ -94,17 +95,16 @@ class AnalysisService:
 
     Parameters
     ----------
-    max_batch, max_wait:
-        Micro-batcher knobs; ``None`` derives either from the pipeline
-        slicing heuristics (see :func:`repro.serve.batcher.suggested_policy`).
+    max_batch:
+        The most requests one micro-batch may hold (default
+        :data:`~repro.serve.batcher.MAX_BATCH_CEILING`).  There is no
+        flush timer: a worker solves whatever is queued when it is free.
     cache_size:
         LRU capacity of the result cache (0 disables caching).
     n_workers:
         Worker threads coalescing and solving micro-batches.
     queue_limit:
         Admission bound; requests beyond it are shed.
-    n_panels_hint:
-        System size the derived batching defaults are tuned for.
     default_deadline_ms:
         Deadline budget applied to requests that do not carry their
         own (``None`` disables).  Expired requests are dropped at
@@ -141,22 +141,11 @@ class AnalysisService:
         ``slo_latency_ms`` milliseconds, and the burn rate measures the
         error budget ``1 - slo_target`` being spent.  See
         ``docs/observability.md``.
-    autotune:
-        Online autotuning mode: ``"off"`` (no controller),
-        ``"advise"`` (calibrate + recommend, journal only), or
-        ``"apply"`` (additionally swap the live batching policy).
-        ``None`` reads ``REPRO_AUTOTUNE`` once at construction
-        (default off).  See ``docs/autotune.md``.
-    autotune_interval, autotune_min_improvement:
-        Control-loop period in seconds and the hysteresis threshold
-        (minimum predicted fractional improvement before the
-        controller advises or applies anything).
     """
 
-    def __init__(self, *, max_batch: Optional[int] = None,
-                 max_wait: Optional[float] = None, cache_size: int = 1024,
+    def __init__(self, *, max_batch: int = MAX_BATCH_CEILING,
+                 cache_size: int = 1024,
                  n_workers: int = 2, queue_limit: int = 256,
-                 n_panels_hint: int = 200,
                  default_deadline_ms: Optional[float] = None,
                  trace_sample: float = 1.0, trace_ring: int = 256,
                  logger: Optional[StructuredLogger] = None,
@@ -164,13 +153,7 @@ class AnalysisService:
                  jobs_dir: Optional[str] = None,
                  job_slots: int = 1,
                  slo_latency_ms: float = 250.0,
-                 slo_target: float = 0.99,
-                 autotune: Optional[str] = None,
-                 autotune_interval: float = 30.0,
-                 autotune_min_improvement: float = 0.10) -> None:
-        self.policy: BatchPolicy = suggested_policy(
-            n_panels_hint, max_batch=max_batch, max_wait=max_wait
-        )
+                 slo_target: float = 0.99) -> None:
         self.default_deadline_ms = (
             None if default_deadline_ms is None
             else validate_deadline_ms(default_deadline_ms)
@@ -187,11 +170,10 @@ class AnalysisService:
         #: across kernels mid-flight.
         self.assembly_kernel = resolve_kernel(assembly_kernel)
         self._pool = WorkerPool(
-            self._process_batch, self.policy,
+            self._process_batch, max_batch,
             n_workers=n_workers, queue_limit=queue_limit,
             on_error=self._fail_batch, drop=self._drop_dead,
             on_admit=self._on_dequeue,
-            enqueued_at=lambda job: job.enqueued,
         )
         #: The :class:`~repro.jobs.runner.JobRunner` when *jobs_dir* is
         #: configured, else ``None`` (the HTTP layer 404s job routes).
@@ -203,19 +185,6 @@ class AnalysisService:
             self.jobs = JobRunner(
                 store, slots=job_slots, tracer=self.tracer,
             ).start()
-        #: The :class:`~repro.tune.AutotuneController` when autotuning
-        #: is enabled, else ``None`` (the HTTP layer 404s its route).
-        self.autotuner = None
-        from repro.tune.controller import AutotuneConfig, resolve_mode
-
-        mode = resolve_mode(autotune)
-        if mode != "off":
-            from repro.tune.controller import AutotuneController
-
-            self.autotuner = AutotuneController(self, AutotuneConfig(
-                mode=mode, interval=autotune_interval,
-                min_improvement=autotune_min_improvement,
-            ))
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -233,19 +202,9 @@ class AnalysisService:
         return self._pool.n_workers
 
     @property
-    def draining(self) -> bool:
-        """True once shutdown has begun (the autotuner must not act)."""
-        return self._closed or self._pool.draining
-
-    def apply_policy(self, policy: BatchPolicy) -> None:
-        """Swap the live batching policy (the autotuner's apply path).
-
-        Atomic at batch granularity (see
-        :meth:`~repro.serve.workers.WorkerPool.set_policy`); refused
-        while the service is draining.
-        """
-        self._pool.set_policy(policy)
-        self.policy = policy
+    def max_batch(self) -> int:
+        """The most requests one micro-batch may hold."""
+        return self._pool.max_batch
 
     def submit(self, request: RequestLike, *,
                deadline_ms: Optional[float] = None,
@@ -324,7 +283,7 @@ class AnalysisService:
         if trace is not None:
             trace.add_stage(STAGE_CACHE_LOOKUP, lookup_started, now)
         try:
-            self._pool.submit(job)
+            self._pool.submit(job, on_enqueue=self.metrics.record_admitted)
         except ServeError:
             self.metrics.record_shed()
             self.slo.record(False)
@@ -332,7 +291,6 @@ class AnalysisService:
                 self.tracer.finish(trace, "shed")
             self._log_request(request_id, "shed", trace=trace)
             raise
-        self.metrics.record_admitted()
         self.metrics.record_workload(request.n_panels, str(request.precision))
         return pending
 
@@ -373,8 +331,10 @@ class AnalysisService:
                       trace_context: Optional[TraceContext] = None) -> List[dict]:
         """Submit many requests together and block for all responses.
 
-        Submitting before waiting lets the batcher coalesce the whole
-        set into as few stacks as the policy allows.  A shared
+        Every item is queued before any is awaited, so items that
+        arrive while a worker is busy share its next stack.  An idle
+        worker starts on what has been queued so far, so a large batch
+        may be solved as a few stacks rather than one.  A shared
         ``request_id`` tags every item of the batch in traces and logs.
         """
         pendings = [self.submit(request, deadline_ms=deadline_ms,
@@ -597,8 +557,6 @@ class AnalysisService:
         snapshot["blas_threads"] = blas_threads()
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.metrics_snapshot()
-        if self.autotuner is not None:
-            snapshot["autotune"] = self.autotuner.snapshot()
         return snapshot
 
     def recent_traces(self, n: Optional[int] = None) -> List[Trace]:
@@ -625,14 +583,11 @@ class AnalysisService:
     def close(self, timeout: float = 10.0) -> bool:
         """Drain accepted work and stop the workers (idempotent).
 
-        The autotuner stops first (a retune must never race a drain),
-        then the job runner (running jobs checkpoint and stay
+        The job runner stops first (running jobs checkpoint and stay
         resumable), then the worker threads drain accepted work.
         """
         self._closed = True
         drained = True
-        if self.autotuner is not None:
-            self.autotuner.close()
         if self.jobs is not None:
             drained = self.jobs.close(timeout=timeout) and drained
             self.jobs.store.close()

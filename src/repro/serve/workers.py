@@ -25,7 +25,11 @@ import time
 from typing import Callable, List, Optional
 
 from repro.errors import OverloadedError, ServeError
-from repro.serve.batcher import BatchPolicy, collect_batch
+from repro.serve.batcher import (
+    MAX_BATCH_CEILING,
+    collect_batch,
+    validate_max_batch,
+)
 
 #: Queue marker that tells workers to exit.
 _SENTINEL = object()
@@ -129,8 +133,9 @@ class WorkerPool:
         Callable invoked with each coalesced micro-batch (a list of
         submitted items).  It must resolve every item itself and should
         not raise; anything it does raise goes to *on_error*.
-    policy:
-        The :class:`BatchPolicy` workers coalesce under.
+    max_batch:
+        The most requests one micro-batch may hold (see
+        :func:`~repro.serve.batcher.collect_batch`).
     n_workers:
         Worker thread count.  One worker maximizes coalescing; more
         overlap post-processing of separate batches.
@@ -150,34 +155,26 @@ class WorkerPool:
         Optional callback invoked with every item the moment it joins
         a forming batch — the tracing stamp that ends the item's queue
         wait.  Must be cheap and must not raise.
-    enqueued_at:
-        Optional callable mapping an item to the monotonic stamp at
-        which it was enqueued; batch collection anchors its flush
-        deadline there, so ``max_wait`` bounds the oldest item's total
-        wait rather than restarting when a worker picks the batch up
-        (see :func:`~repro.serve.batcher.collect_batch`).
     """
 
     def __init__(self, process: Callable[[List], None],
-                 policy: Optional[BatchPolicy] = None, *,
+                 max_batch: int = MAX_BATCH_CEILING, *,
                  n_workers: int = 2, queue_limit: int = 256,
                  name: str = "repro-serve",
                  on_error: Optional[Callable[[List, BaseException], None]] = None,
                  drop: Optional[Callable[[object], bool]] = None,
-                 on_admit: Optional[Callable[[object], None]] = None,
-                 enqueued_at: Optional[Callable[[object], float]] = None):
+                 on_admit: Optional[Callable[[object], None]] = None):
         if int(n_workers) < 1:
             raise ServeError(f"n_workers must be at least 1, got {n_workers}")
         if int(queue_limit) < 1:
             raise ServeError(f"queue_limit must be at least 1, got {queue_limit}")
         self._process = process
-        self._policy = policy or BatchPolicy()
+        self._max_batch = validate_max_batch(max_batch)
         self._queue: queue_module.Queue = queue_module.Queue(maxsize=int(queue_limit))
         self._queue_limit = int(queue_limit)
         self._on_error = on_error
         self._drop = drop
         self._on_admit = on_admit
-        self._enqueued_at = enqueued_at
         self._draining = threading.Event()
         # Guards the check-drain-then-enqueue pair in submit() against a
         # concurrent shutdown(): without it the sentinel can land between
@@ -193,27 +190,9 @@ class WorkerPool:
             thread.start()
 
     @property
-    def policy(self) -> BatchPolicy:
-        """The batching policy workers coalesce under."""
-        return self._policy
-
-    def set_policy(self, policy: BatchPolicy) -> None:
-        """Swap the batching policy (the autotuner's apply path).
-
-        Workers read ``self._policy`` once per batch collection, so the
-        swap is atomic at batch granularity — in-flight batches finish
-        under the old policy, the next collection uses the new one.
-        Refused while draining: shutdown semantics were negotiated under
-        the old policy.
-        """
-        if not isinstance(policy, BatchPolicy):
-            raise ServeError(
-                f"set_policy needs a BatchPolicy, got {type(policy).__name__}"
-            )
-        with self._admission_lock:
-            if self._draining.is_set():
-                raise ServeError("cannot retune a draining pool")
-            self._policy = policy
+    def max_batch(self) -> int:
+        """The most requests one micro-batch may hold."""
+        return self._max_batch
 
     @property
     def n_workers(self) -> int:
@@ -230,12 +209,8 @@ class WorkerPool:
         """Approximate number of requests waiting (racy by nature)."""
         return self._queue.qsize()
 
-    @property
-    def draining(self) -> bool:
-        """True once shutdown has begun; submissions are refused."""
-        return self._draining.is_set()
-
-    def submit(self, item) -> None:
+    def submit(self, item, *,
+               on_enqueue: Optional[Callable[[], None]] = None) -> None:
         """Admit one item, or shed it.
 
         Raises :class:`ServeError` while draining and
@@ -243,17 +218,25 @@ class WorkerPool:
         check and the enqueue are atomic with respect to
         :meth:`shutdown`, so an admitted item always precedes the
         shutdown sentinel in the queue.
+
+        *on_enqueue*, when given, runs once the item is certain to be
+        queued but before any worker can see it, so an owner that
+        counts admissions there never sees an item finish before it
+        was admitted.
         """
         with self._admission_lock:
             if self._draining.is_set():
                 raise ServeError("service is shutting down; request refused")
-            try:
-                self._queue.put_nowait(item)
-            except queue_module.Full:
+            # Only admission-lock holders add items and workers only
+            # remove them, so room seen here is still there for the put.
+            if self._queue.full():
                 raise OverloadedError(
                     f"service overloaded: {self._queue_limit} requests already "
                     "queued; retry with backoff"
                 )
+            if on_enqueue is not None:
+                on_enqueue()
+            self._queue.put_nowait(item)
 
     def shutdown(self, timeout: float = 10.0) -> bool:
         """Drain accepted work, stop the workers, and join them.
@@ -288,9 +271,8 @@ class WorkerPool:
                 self._queue.put(_SENTINEL)  # wake the next worker
                 return
             items, saw_sentinel = collect_batch(
-                self._queue, first, self._policy, sentinel=_SENTINEL,
+                self._queue, first, self._max_batch, sentinel=_SENTINEL,
                 drop=self._drop, on_admit=self._on_admit,
-                enqueued_at=self._enqueued_at,
             )
             if items:
                 try:

@@ -97,7 +97,7 @@ class TestMain:
     def _serving_doc(self, throughput):
         return {"benchmark": "serving",
                 "rows": [{"backend": "inline", "max_batch": 8,
-                          "max_wait_ms": 2.0, "deadline_ms": None,
+                          "deadline_ms": None,
                           "throughput_rps": throughput,
                           "latency_p99_ms": 5.0}]}
 

@@ -54,7 +54,7 @@ class Cluster:
         self.services, self.servers, specs = [], [], []
         for index in range(3):
             jobs_dir = str(tmp_path / f"jobs-{index}") if jobs else None
-            service = AnalysisService(max_batch=8, max_wait=0.005,
+            service = AnalysisService(max_batch=8,
                                       cache_size=64, n_workers=1,
                                       queue_limit=64, jobs_dir=jobs_dir,
                                       job_slots=1)

@@ -31,7 +31,7 @@ class TracedCluster:
     def __init__(self, *, trace_sample=1.0, log_stream=None):
         self.services, self.servers, specs = [], [], []
         for _ in range(2):
-            service = AnalysisService(max_batch=8, max_wait=0.002,
+            service = AnalysisService(max_batch=8,
                                       cache_size=64, n_workers=1,
                                       queue_limit=64,
                                       slo_latency_ms=250.0)

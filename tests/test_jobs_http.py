@@ -36,7 +36,7 @@ def reference_history():
 @pytest.fixture
 def served_jobs(tmp_path):
     """A live service with the jobs subsystem enabled."""
-    service = AnalysisService(max_batch=32, max_wait=0.02, n_workers=2,
+    service = AnalysisService(max_batch=32, n_workers=2,
                               jobs_dir=str(tmp_path / "jobs"), job_slots=1)
     server = start_server(service)
     client = ServeClient(port=server.port)

@@ -119,7 +119,7 @@ class TestRunnerIdempotency:
 
 @pytest.fixture
 def served_jobs(tmp_path):
-    service = AnalysisService(max_batch=8, max_wait=0.005, n_workers=1,
+    service = AnalysisService(max_batch=8, n_workers=1,
                               jobs_dir=str(tmp_path / "jobs"), job_slots=1)
     server = start_server(service)
     client = ServeClient(port=server.port)

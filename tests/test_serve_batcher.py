@@ -1,4 +1,4 @@
-"""Tests for micro-batch collection and the slicing-derived policy."""
+"""Tests for micro-batch collection: the queue-draining rule."""
 
 import queue
 import time
@@ -8,32 +8,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServeError
-from repro.serve import BatchPolicy, collect_batch, suggested_policy
-from repro.serve.batcher import MAX_BATCH_CEILING, MAX_WAIT, MIN_WAIT
+from repro.serve import (
+    MAX_BATCH_CEILING,
+    AnalysisService,
+    WorkerPool,
+    collect_batch,
+    validate_max_batch,
+)
+from tests.test_serve_lifecycle import _GatedService
 
 
 class TestBatchPolicy:
+    """The batching policy is one validated ``max_batch``."""
+
     def test_validation(self):
         with pytest.raises(ServeError):
-            BatchPolicy(max_batch=0)
+            validate_max_batch(0)
         with pytest.raises(ServeError):
-            BatchPolicy(max_wait=-1.0)
+            validate_max_batch(-3)
         with pytest.raises(ServeError):
-            BatchPolicy(max_wait=float("inf"))
+            WorkerPool(lambda items: None, max_batch=0)
 
     def test_coerces_types(self):
-        policy = BatchPolicy(max_batch=8.0, max_wait=1)
-        assert policy.max_batch == 8 and policy.max_wait == 1.0
+        assert validate_max_batch(8.0) == 8
+        assert type(validate_max_batch(8.0)) is int
 
     def test_rejects_fractional_max_batch(self):
         # Regression: 2.7 used to be silently truncated to 2, flushing
         # smaller batches than configured with no error anywhere.
         with pytest.raises(ServeError, match="integer"):
-            BatchPolicy(max_batch=2.7)
+            validate_max_batch(2.7)
+        with pytest.raises(ServeError, match="integer"):
+            AnalysisService(max_batch=2.7)
 
     def test_rejects_non_numeric_max_batch(self):
         with pytest.raises(ServeError, match="integer"):
-            BatchPolicy(max_batch="eight")
+            validate_max_batch("eight")
+
+    def test_default_is_the_ceiling(self):
+        with AnalysisService() as service:
+            assert service.max_batch == MAX_BATCH_CEILING == 64
 
 
 class TestCollectBatch:
@@ -43,29 +57,18 @@ class TestCollectBatch:
             source.put(index)
         first = source.get()
         start = time.monotonic()
-        items, saw = collect_batch(source, first,
-                                   BatchPolicy(max_batch=4, max_wait=5.0))
+        items, saw = collect_batch(source, first, 4)
         elapsed = time.monotonic() - start
         assert items == [0, 1, 2, 3] and not saw
-        assert elapsed < 1.0  # did NOT sit out the 5 s deadline
+        assert elapsed < 1.0
         assert source.qsize() == 6
-
-    def test_deadline_path_flushes_partial_batch(self):
-        source = queue.Queue()
-        start = time.monotonic()
-        items, saw = collect_batch(source, "only",
-                                   BatchPolicy(max_batch=8, max_wait=0.05))
-        elapsed = time.monotonic() - start
-        assert items == ["only"] and not saw
-        assert 0.04 <= elapsed < 1.0
 
     def test_zero_wait_still_drains_backlog(self):
         source = queue.Queue()
         for index in range(5):
             source.put(index)
         first = source.get()
-        items, saw = collect_batch(source, first,
-                                   BatchPolicy(max_batch=100, max_wait=0.0))
+        items, saw = collect_batch(source, first, 100)
         assert items == [0, 1, 2, 3, 4] and not saw
 
     def test_sentinel_is_pushed_back(self):
@@ -73,14 +76,107 @@ class TestCollectBatch:
         source = queue.Queue()
         source.put("b")
         source.put(sentinel)
-        items, saw = collect_batch(source, "a",
-                                   BatchPolicy(max_batch=10, max_wait=0.0),
+        items, saw = collect_batch(source, "a", 10,
                                    sentinel=sentinel)
         assert items == ["a", "b"] and saw
         # Re-queued so sibling workers observe the shutdown too.  (In
         # real use the sentinel is always last: admissions stop before
         # shutdown enqueues it.)
         assert source.get_nowait() is sentinel
+
+
+class _NonBlockingQueue(queue.Queue):
+    """A queue that fails any blocking read: draining must never wait."""
+
+    def get(self, block=True, timeout=None):
+        assert not block, "collect_batch waited on the queue"
+        return super().get(block=False)
+
+
+_ENTRY = st.sampled_from(["live", "dead"])
+
+
+class TestDrainRule:
+    @given(first=_ENTRY, queued=st.lists(_ENTRY, max_size=20),
+           sentinel_at=st.none() | st.integers(0, 20),
+           max_batch=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_property_batch_is_first_plus_queued_live_items(
+            self, first, queued, sentinel_at, max_batch):
+        """For any queue contents, drop predicate and max_batch: the
+        batch is the first item plus the next live items in FIFO order,
+        up to max_batch; dropped items are notified and not counted;
+        the sentinel is pushed back; and no read ever blocks, so an
+        empty queue returns at once."""
+        sentinel = object()
+        head = (0, first)
+        contents = [(index + 1, kind) for index, kind in enumerate(queued)]
+        if sentinel_at is not None:
+            contents.insert(min(sentinel_at, len(contents)), sentinel)
+        source = _NonBlockingQueue()
+        for entry in contents:
+            source.put(entry)
+        dropped, admitted = [], []
+
+        def drop(entry):
+            if entry[1] == "dead":
+                dropped.append(entry)
+                return True
+            return False
+
+        items, saw = collect_batch(source, head, max_batch,
+                                   sentinel=sentinel, drop=drop,
+                                   on_admit=admitted.append)
+
+        want_items, want_dropped, want_saw, taken = [], [], False, 0
+        for position, entry in enumerate([head] + contents):
+            if position:
+                if len(want_items) == max_batch:
+                    break
+                taken += 1
+                if entry is sentinel:
+                    want_saw = True
+                    break
+            (want_dropped if entry[1] == "dead" else want_items).append(entry)
+        assert items == want_items == admitted
+        assert dropped == want_dropped
+        assert saw is want_saw
+        rest = contents[taken:] + ([sentinel] if want_saw else [])
+        assert [source.get_nowait() for _ in range(source.qsize())] == rest
+
+    def test_idle_service_does_not_hold_a_lone_request(self):
+        """Regression: an idle default service used to hold a lone
+        request for a 50 ms flush window waiting for batchmates."""
+        with AnalysisService() as service:
+            service.analyze({"airfoil": "2412", "alpha_degrees": 4.0,
+                             "n_panels": 200})
+            deadline = time.monotonic() + 5.0
+            while not service.recent_traces() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            (trace,) = service.recent_traces()
+            assert trace.annotations["cache_hit"] is False
+            assert trace.stage_seconds()["batch_collect"] < 5e-3
+
+    def test_requests_queued_behind_a_busy_worker_share_one_stack(self):
+        k = 5
+        service = _GatedService(cache_size=0, n_workers=1)
+        try:
+            blocker = service.submit({"airfoil": "0012", "reynolds": None,
+                                      "n_panels": 60})
+            assert service.parked.wait(10.0)
+            pendings = [service.submit({"airfoil": "2412",
+                                        "alpha_degrees": float(index),
+                                        "reynolds": None, "n_panels": 60})
+                        for index in range(k)]
+            service.gate.set()
+            for pending in [blocker] + pendings:
+                pending.result(timeout=10.0)
+            batching = service.metrics_snapshot()["batching"]
+            assert batching["batch_size_histogram"] == {"1": 1, str(k): 1}
+            assert batching["stack_size_histogram"] == {"1": 1, str(k): 1}
+        finally:
+            service.gate.set()
+            assert service.close(timeout=10.0)
 
 
 class TestCollectBatchDrop:
@@ -97,8 +193,7 @@ class TestCollectBatchDrop:
                 return True
             return False
 
-        items, saw = collect_batch(source, first,
-                                   BatchPolicy(max_batch=10, max_wait=0.0),
+        items, saw = collect_batch(source, first, 10,
                                    drop=drop)
         assert items == [1, 3, 5] and not saw
         assert dropped == [-2, -4]
@@ -106,16 +201,14 @@ class TestCollectBatchDrop:
     def test_first_item_can_be_dropped(self):
         source = queue.Queue()
         source.put("live")
-        items, saw = collect_batch(source, "dead",
-                                   BatchPolicy(max_batch=4, max_wait=0.0),
+        items, saw = collect_batch(source, "dead", 4,
                                    drop=lambda item: item == "dead")
         assert items == ["live"] and not saw
 
     def test_all_dropped_returns_empty_batch(self):
         source = queue.Queue()
         source.put("dead")
-        items, saw = collect_batch(source, "dead",
-                                   BatchPolicy(max_batch=4, max_wait=0.0),
+        items, saw = collect_batch(source, "dead", 4,
                                    drop=lambda item: True)
         assert items == [] and not saw
 
@@ -126,8 +219,7 @@ class TestCollectBatchDrop:
         for value in ("dead", "live-1", "dead", "live-2"):
             source.put(value)
         first = source.get()
-        items, _ = collect_batch(source, first,
-                                 BatchPolicy(max_batch=2, max_wait=0.0),
+        items, _ = collect_batch(source, first, 2,
                                  drop=lambda item: item == "dead")
         assert items == ["live-1", "live-2"]
 
@@ -136,8 +228,7 @@ class TestCollectBatchDrop:
         source = queue.Queue()
         source.put("dead")
         source.put(sentinel)
-        items, saw = collect_batch(source, "live",
-                                   BatchPolicy(max_batch=10, max_wait=0.0),
+        items, saw = collect_batch(source, "live", 10,
                                    sentinel=sentinel,
                                    drop=lambda item: item == "dead")
         assert items == ["live"] and saw
@@ -147,9 +238,9 @@ class TestCollectBatchDrop:
            max_batch=st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
     def test_property_zero_wait_with_expired_items(self, expired, max_batch):
-        """With max_wait=0 and a pre-filled backlog of (index, expired)
-        items: no expired item is ever batched, live items keep FIFO
-        order, and the batch never exceeds max_batch live items."""
+        """With a pre-filled backlog of (index, expired) items: no
+        expired item is ever batched, live items keep FIFO order, and
+        the batch never exceeds max_batch live items."""
         backlog = list(enumerate(expired))
         source = queue.Queue()
         for entry in backlog[1:]:
@@ -162,9 +253,7 @@ class TestCollectBatchDrop:
                 return True
             return False
 
-        items, saw = collect_batch(source, backlog[0],
-                                   BatchPolicy(max_batch=max_batch,
-                                               max_wait=0.0),
+        items, saw = collect_batch(source, backlog[0], max_batch,
                                    drop=drop)
         assert not saw
         assert all(not is_expired for _, is_expired in items)
@@ -178,82 +267,3 @@ class TestCollectBatchDrop:
         if len(items) < max_batch:  # backlog exhausted without filling up
             assert items == live
             assert dropped == [entry for entry in backlog if entry[1]]
-
-
-class TestDeadlineAnchoring:
-    """The flush deadline is a promise about the *oldest request's*
-    total wait, so it anchors at that request's enqueue stamp, not at
-    whenever a worker got around to collecting the batch."""
-
-    def test_stale_first_item_flushes_immediately(self):
-        # Regression: the item already waited 10 s in the queue (a
-        # solve was in flight); pre-fix the deadline restarted at
-        # collection time and the item sat out another full max_wait.
-        source = queue.Queue()
-        item = ("req", time.monotonic() - 10.0)
-        start = time.monotonic()
-        items, saw = collect_batch(source, item,
-                                   BatchPolicy(max_batch=8, max_wait=0.25),
-                                   enqueued_at=lambda it: it[1])
-        elapsed = time.monotonic() - start
-        assert items == [item] and not saw
-        assert elapsed < 0.1
-
-    def test_partially_spent_budget_waits_only_the_remainder(self):
-        source = queue.Queue()
-        item = ("req", time.monotonic() - 0.2)
-        start = time.monotonic()
-        items, _ = collect_batch(source, item,
-                                 BatchPolicy(max_batch=8, max_wait=0.3),
-                                 enqueued_at=lambda it: it[1])
-        elapsed = time.monotonic() - start
-        assert items == [item]
-        assert 0.05 <= elapsed < 0.25  # ~0.1 s remained of the budget
-
-    def test_fresh_first_item_still_waits_the_full_window(self):
-        source = queue.Queue()
-        item = ("req", time.monotonic())
-        start = time.monotonic()
-        items, _ = collect_batch(source, item,
-                                 BatchPolicy(max_batch=8, max_wait=0.05),
-                                 enqueued_at=lambda it: it[1])
-        elapsed = time.monotonic() - start
-        assert items == [item]
-        assert 0.04 <= elapsed < 1.0
-
-    def test_anchor_comes_from_first_admitted_not_first_dropped(self):
-        # The dropped first item never waited for this batch; the
-        # deadline anchors at the first *admitted* item, whose budget
-        # here is already spent — so collection returns immediately.
-        source = queue.Queue()
-        live = ("live", time.monotonic() - 10.0)
-        source.put(live)
-        start = time.monotonic()
-        items, _ = collect_batch(source, ("dead", time.monotonic()),
-                                 BatchPolicy(max_batch=8, max_wait=0.25),
-                                 drop=lambda it: it[0] == "dead",
-                                 enqueued_at=lambda it: it[1])
-        elapsed = time.monotonic() - start
-        assert items == [live]
-        assert elapsed < 0.1
-
-
-class TestSuggestedPolicy:
-    def test_derived_knobs_respect_clamps(self):
-        policy = suggested_policy(200)
-        assert 1 <= policy.max_batch <= MAX_BATCH_CEILING
-        assert MIN_WAIT <= policy.max_wait <= MAX_WAIT
-
-    def test_explicit_overrides_win_individually(self):
-        policy = suggested_policy(200, max_batch=7)
-        assert policy.max_batch == 7
-        assert MIN_WAIT <= policy.max_wait <= MAX_WAIT  # still derived
-        policy = suggested_policy(200, max_wait=0.001)
-        assert policy.max_wait == 0.001
-
-    def test_deterministic_per_system_size(self):
-        assert suggested_policy(160) == suggested_policy(160)
-
-    def test_invalid_n_panels(self):
-        with pytest.raises(ServeError):
-            suggested_policy(2)

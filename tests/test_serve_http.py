@@ -14,12 +14,13 @@ from repro.linalg import blas_threads
 from repro.serve import AnalysisService, ServeClient, start_server
 from repro.serve.http import AnalysisHTTPServer
 from tests.test_obs import parse_prometheus
+from tests.test_serve_lifecycle import _GatedService
 
 
 @pytest.fixture
 def served():
     """A live service + server on an ephemeral port, torn down cleanly."""
-    service = AnalysisService(max_batch=32, max_wait=0.05, cache_size=128,
+    service = AnalysisService(max_batch=32, cache_size=128,
                               n_workers=2, queue_limit=128)
     server = start_server(service)
     client = ServeClient(port=server.port)
@@ -112,9 +113,10 @@ class TestPanelCountBound:
         """An ``n_panels`` far past the cap is refused before admission,
         so it never shares a micro-batch with a valid request: its
         assembly alone would need hundreds of GiB, and the resulting
-        MemoryError would fail the whole batch."""
-        service = AnalysisService(max_batch=2, max_wait=0.5, cache_size=0,
-                                  n_workers=1)
+        MemoryError would fail the whole batch.  The worker is held on
+        a first request so that, were the oversized one admitted, both
+        would be queued when the worker drains its next batch."""
+        service = _GatedService(max_batch=2, cache_size=0, n_workers=1)
         server = start_server(service)
         statuses = {}
 
@@ -135,12 +137,23 @@ class TestPanelCountBound:
                 "valid", {"airfoil": "2412", "n_panels": 60})),
         ]
         try:
+            blocker = service.submit({"airfoil": "0012", "n_panels": 60})
+            assert service.parked.wait(10.0)
             for thread in threads:
                 thread.start()
+            # Both requests are settled before the worker resumes: each
+            # is either queued or already answered at admission.
+            deadline = time.monotonic() + 30.0
+            while (service.queue_depth + len(statuses) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            service.gate.set()
+            blocker.result(timeout=30.0)
             for thread in threads:
                 thread.join(timeout=60.0)
                 assert not thread.is_alive()
         finally:
+            service.gate.set()
             server.stop()
             assert service.close(timeout=10.0)
         assert statuses == {"oversized": 400, "valid": 200}
@@ -152,7 +165,7 @@ class TestServerLifecycle:
         BaseServer.shutdown(), which waits on an event only
         serve_forever() sets — hanging forever.  It must just close the
         socket and return."""
-        service = AnalysisService(max_batch=2, max_wait=0.0, cache_size=8,
+        service = AnalysisService(max_batch=2, cache_size=8,
                                   n_workers=1, queue_limit=8)
         server = AnalysisHTTPServer(("127.0.0.1", 0), service)
         start = time.monotonic()
@@ -250,7 +263,7 @@ class TestConcurrentBatching:
         produce at least one batched solve, a nonzero cache hit rate,
         and a graceful shutdown with no stray threads."""
         baseline_threads = threading.active_count()
-        service = AnalysisService(max_batch=32, max_wait=0.05, cache_size=64,
+        service = AnalysisService(max_batch=32, cache_size=64,
                                   n_workers=2, queue_limit=64)
         server = start_server(service)
         client = ServeClient(port=server.port)

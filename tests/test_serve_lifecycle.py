@@ -6,6 +6,8 @@ detached submitter's work is dropped the same way, and the client can
 retry shed (503) requests with capped exponential backoff and jitter.
 """
 
+import random
+import sys
 import threading
 import time
 
@@ -65,7 +67,7 @@ class TestDeadlineWireFormat:
 
 class TestServiceDeadlines:
     def test_expired_request_is_dropped_not_solved(self):
-        service = AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        service = AnalysisService(max_batch=4, cache_size=8,
                                   n_workers=1, queue_limit=16)
         with service:
             with pytest.raises(DeadlineExceededError):
@@ -79,7 +81,7 @@ class TestServiceDeadlines:
         assert snapshot["batching"]["batched_solves"] == 0
 
     def test_payload_field_sets_the_deadline(self):
-        with AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        with AnalysisService(max_batch=4, cache_size=8,
                              n_workers=1, queue_limit=16) as service:
             with pytest.raises(DeadlineExceededError):
                 service.analyze({"airfoil": "2412", "reynolds": None,
@@ -87,7 +89,7 @@ class TestServiceDeadlines:
                                 timeout=10.0)
 
     def test_explicit_argument_beats_payload_field(self):
-        with AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        with AnalysisService(max_batch=4, cache_size=8,
                              n_workers=1, queue_limit=16) as service:
             record = service.analyze(
                 {"airfoil": "0012", "reynolds": None, "n_panels": 60,
@@ -98,7 +100,7 @@ class TestServiceDeadlines:
     def test_default_deadline_applies_and_is_validated(self):
         with pytest.raises(ServeError, match="deadline_ms"):
             AnalysisService(default_deadline_ms=-1.0)
-        service = AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        service = AnalysisService(max_batch=4, cache_size=8,
                                   n_workers=1, queue_limit=16,
                                   default_deadline_ms=1e-3)
         with service:
@@ -107,7 +109,7 @@ class TestServiceDeadlines:
                                  "n_panels": 60}, timeout=10.0)
 
     def test_generous_deadline_does_not_interfere(self):
-        with AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        with AnalysisService(max_batch=4, cache_size=8,
                              n_workers=1, queue_limit=16) as service:
             record = service.analyze({"airfoil": "2412", "alpha_degrees": 4.0,
                                       "reynolds": None, "n_panels": 60},
@@ -117,7 +119,7 @@ class TestServiceDeadlines:
     def test_cache_hit_beats_the_deadline(self):
         """A cached answer resolves at admission, before any queueing,
         so even a microscopic deadline is met."""
-        with AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        with AnalysisService(max_batch=4, cache_size=8,
                              n_workers=1, queue_limit=16) as service:
             request = {"airfoil": "0012", "reynolds": None, "n_panels": 60}
             warm = service.analyze(dict(request), timeout=10.0)
@@ -132,20 +134,23 @@ class TestServiceDeadlines:
 
 class _GatedService(AnalysisService):
     """An AnalysisService whose worker parks at the start of each batch
-    until the test opens the gate — making queue-time races deterministic."""
+    until the test opens the gate — making queue-time races deterministic.
+    ``parked`` is set once a worker has taken a batch and is waiting."""
 
     def __init__(self, **kwargs):
         self.gate = threading.Event()
+        self.parked = threading.Event()
         super().__init__(**kwargs)
 
     def _process_batch(self, jobs):
+        self.parked.set()
         assert self.gate.wait(10.0)
         super()._process_batch(jobs)
 
 
 class TestCancellation:
     def test_cancelled_request_is_dropped_at_collection(self):
-        service = _GatedService(max_batch=1, max_wait=0.0, cache_size=8,
+        service = _GatedService(max_batch=1, cache_size=8,
                                 n_workers=1, queue_limit=16)
         try:
             # First submission occupies the (gated) worker, so the second
@@ -177,7 +182,7 @@ class TestCancellation:
         """analyze() that gives up waiting cancels its pending result,
         so the worker later drops the job instead of solving for
         nobody."""
-        service = _GatedService(max_batch=4, max_wait=0.0, cache_size=8,
+        service = _GatedService(max_batch=4, cache_size=8,
                                 n_workers=1, queue_limit=16)
         try:
             with pytest.raises(ServeError, match="timed out"):
@@ -202,7 +207,7 @@ class TestCancellation:
 
 class TestDropPredicate:
     def test_expired_job_fails_with_deadline_error(self):
-        service = AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        service = AnalysisService(max_batch=4, cache_size=8,
                                   n_workers=1, queue_limit=16)
         with service:
             now = time.monotonic()
@@ -225,6 +230,93 @@ class TestDropPredicate:
 def _FreshPending():
     from repro.serve.workers import PendingResult
     return PendingResult()
+
+
+# ----------------------------------------------------------------------
+# Request accounting under a concurrent mix
+# ----------------------------------------------------------------------
+
+class TestAccountingUnderLoad:
+    """Every admitted request ends exactly once, as completed, failed,
+    expired or cancelled — with a ``/metrics`` scraper racing the
+    workers the whole time, so a transient imbalance would register as
+    ``accounting_drift``."""
+
+    ACTIONS = ("wait", "duplicate", "deadline", "cancel", "cancel_late",
+               "timeout")
+
+    def _client(self, service, rng):
+        for _ in range(25):
+            payload = {"airfoil": rng.choice(["0012", "2412"]),
+                       "alpha_degrees": float(rng.randrange(4)),
+                       "reynolds": None, "n_panels": rng.choice([20, 40])}
+            action = rng.choice(self.ACTIONS)
+            try:
+                if action == "wait":
+                    service.analyze(payload, timeout=30.0)
+                elif action == "duplicate":
+                    service.analyze_batch([payload, payload], timeout=30.0)
+                elif action == "deadline":
+                    service.analyze(payload, deadline_ms=1e-3, timeout=30.0)
+                elif action == "cancel":
+                    service.submit(payload).cancel()
+                elif action == "cancel_late":
+                    pending = service.submit(payload)
+                    time.sleep(rng.uniform(0.0, 0.004))
+                    pending.cancel()
+                else:
+                    service.analyze(payload, timeout=rng.uniform(1e-4, 2e-3))
+            except ServeError:
+                pass
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_mix_balances_once_quiet(self, seed):
+        service = AnalysisService(max_batch=8, cache_size=6, n_workers=2,
+                                  queue_limit=64)
+        stop = threading.Event()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def scrape():
+            while not stop.is_set():
+                service.metrics_snapshot()
+
+        scraper = threading.Thread(target=scrape)
+        clients = [threading.Thread(target=self._client, args=(
+                       service, random.Random(10 * seed + index)))
+                   for index in range(4)]
+        try:
+            scraper.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                requests = service.metrics_snapshot()["requests"]
+                if (service.queue_depth == 0 and requests["in_flight"] == 0
+                        and requests["admitted"] == requests["completed"]
+                        + requests["failed"] + requests["expired"]
+                        + requests["cancelled"]):
+                    break
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            stop.set()
+            scraper.join(timeout=10.0)
+            assert service.close(timeout=10.0)
+        assert not scraper.is_alive()
+        requests = service.metrics_snapshot()["requests"]
+        assert requests["admitted"] == (requests["completed"]
+                                        + requests["failed"]
+                                        + requests["expired"]
+                                        + requests["cancelled"]), requests
+        assert requests["in_flight"] == 0
+        assert requests["accounting_drift"] == 0, requests
+        # The mix exercised every outcome it can reach.
+        assert requests["completed"] > 0 and requests["cancelled"] > 0
+        assert requests["expired"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +465,7 @@ class TestAssemblyKernelSelection:
                "n_panels": 60}
 
     def _analyze(self, kernel, payload=None):
-        with AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        with AnalysisService(max_batch=4, cache_size=8,
                              n_workers=1, queue_limit=16,
                              assembly_kernel=kernel) as service:
             result = service.analyze(dict(payload or self.PAYLOAD),
@@ -394,7 +486,7 @@ class TestAssemblyKernelSelection:
         from repro.panel import KERNEL_ENV
 
         monkeypatch.setenv(KERNEL_ENV, "reference")
-        service = AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        service = AnalysisService(max_batch=4, cache_size=8,
                                   n_workers=1, queue_limit=16)
         assert service.assembly_kernel == "reference"
 

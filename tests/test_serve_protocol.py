@@ -177,7 +177,7 @@ class TestSerialization:
         assert main(["analyze", "2412", "--alpha", "4", "--panels", "100",
                      "--json"]) == 0
         cli_line = capsys.readouterr().out.strip()
-        with AnalysisService(max_batch=4, max_wait=0.0, cache_size=8,
+        with AnalysisService(max_batch=4, cache_size=8,
                              n_workers=1, queue_limit=16) as service:
             served = service.analyze_json(
                 AnalyzeRequest(airfoil="2412", alpha_degrees=4.0,

@@ -27,7 +27,7 @@ REQUEST = {"airfoil": "2412", "alpha_degrees": 4.0, "reynolds": 0,
 
 @pytest.fixture
 def service():
-    svc = AnalysisService(max_batch=16, max_wait=0.005, cache_size=64,
+    svc = AnalysisService(max_batch=16, cache_size=64,
                           n_workers=1, queue_limit=64)
     yield svc
     assert svc.close(timeout=10.0)
@@ -35,7 +35,7 @@ def service():
 
 @pytest.fixture
 def served():
-    svc = AnalysisService(max_batch=16, max_wait=0.005, cache_size=64,
+    svc = AnalysisService(max_batch=16, cache_size=64,
                           n_workers=1, queue_limit=64)
     server = start_server(svc)
     client = ServeClient(port=server.port)

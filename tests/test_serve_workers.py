@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import OverloadedError, ServeError
-from repro.serve import BatchPolicy, PendingResult, WorkerPool
+from repro.serve import PendingResult, WorkerPool
 
 
 class TestPendingResult:
@@ -108,7 +108,7 @@ class TestWorkerPool:
             for item in items:
                 item.resolve(True)
 
-        pool = WorkerPool(process, BatchPolicy(max_batch=4, max_wait=0.01),
+        pool = WorkerPool(process, max_batch=4,
                           n_workers=2, queue_limit=32)
         pendings = [PendingResult() for _ in range(10)]
         for pending in pendings:
@@ -128,7 +128,7 @@ class TestWorkerPool:
             for item in items:
                 item.resolve(True)
 
-        pool = WorkerPool(process, BatchPolicy(max_batch=1, max_wait=0.0),
+        pool = WorkerPool(process, max_batch=1,
                           n_workers=1, queue_limit=2)
         first = PendingResult()
         pool.submit(first)
@@ -149,7 +149,7 @@ class TestWorkerPool:
             for item in items:
                 item.resolve(True)
 
-        pool = WorkerPool(process, BatchPolicy(max_batch=2, max_wait=0.0),
+        pool = WorkerPool(process, max_batch=2,
                           n_workers=1, queue_limit=64)
         pendings = [PendingResult() for _ in range(12)]
         for pending in pendings:
@@ -167,7 +167,7 @@ class TestWorkerPool:
                 raise ValueError("exploded")
             items[0].resolve(True)
 
-        pool = WorkerPool(process, BatchPolicy(max_batch=1, max_wait=0.0),
+        pool = WorkerPool(process, max_batch=1,
                           n_workers=1, queue_limit=8,
                           on_error=lambda items, error: failures.append(
                               (items, str(error))))
@@ -210,7 +210,7 @@ class TestWorkerPool:
             for item in items:
                 item.resolve(True)
 
-        pool = WorkerPool(process, BatchPolicy(max_batch=8, max_wait=0.0),
+        pool = WorkerPool(process, max_batch=8,
                           n_workers=1, queue_limit=16,
                           drop=lambda pending: pending.cancelled)
         blocker = PendingResult()
@@ -238,7 +238,7 @@ class TestShutdownRaces:
 
         pool = WorkerPool(
             lambda items: [item.resolve(True) for item in items],
-            BatchPolicy(max_batch=4, max_wait=0.0), n_workers=1,
+            max_batch=4, n_workers=1,
             queue_limit=8,
         )
         inner = pool._queue
@@ -302,7 +302,7 @@ class TestShutdownRaces:
         def process(items):
             raise ValueError("worker dies here")
 
-        pool = WorkerPool(process, BatchPolicy(max_batch=1, max_wait=0.0),
+        pool = WorkerPool(process, max_batch=1,
                           n_workers=1, queue_limit=1, on_error=None)
         pool.submit("doomed")
         pool._threads[0].join(5.0)

@@ -2,7 +2,7 @@
 
 The round-trip property at the heart of it: build a snapshot pair from
 *known* per-stage (setup, unit) costs and a known traffic mix, fit a
-:class:`~repro.tune.calibrate.CalibratedWorkstation` from it, and check
+:class:`~repro.serve.calibrate.CalibratedWorkstation` from it, and check
 the fitted model reproduces the stage costs and the service times they
 imply.
 """
@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TuneError
-from repro.serve.batcher import BatchPolicy
-from repro.tune.calibrate import (
+from repro.errors import CalibrationError
+from repro.serve.calibrate import (
     FITTED_STAGES,
     CalibratedWorkstation,
     ObservedMix,
@@ -94,7 +93,7 @@ class TestWindowReduction:
 
     def test_fit_refuses_thin_window(self):
         snap = make_snapshot(requests=5)
-        with pytest.raises(TuneError, match="traced solve spans"):
+        with pytest.raises(CalibrationError, match="traced solve spans"):
             fit_stage_means(snap, min_samples=16)
 
     def test_measured_latency_excludes_cache_hits(self):
@@ -118,11 +117,11 @@ class TestWindowReduction:
 
 class TestStageCost:
     def test_rejects_negative_and_non_finite(self):
-        with pytest.raises(TuneError):
+        with pytest.raises(CalibrationError):
             StageCost(setup=-0.001, unit=0.0)
-        with pytest.raises(TuneError):
+        with pytest.raises(CalibrationError):
             StageCost(setup=0.0, unit=float("nan"))
-        with pytest.raises(TuneError):
+        with pytest.raises(CalibrationError):
             StageCost(setup=float("inf"), unit=0.0)
 
     def test_batch_seconds_and_scaled(self):
@@ -149,8 +148,8 @@ class TestLittlesLaw:
         assert mix.concurrency == 0.0
 
     def test_backlog_floors_the_simulated_batch(self):
-        """A standing queue lets the batcher form big flushes even with
-        max_wait=0 — the arrival-rate fixed point alone can't see it."""
+        """A standing queue lets the drain form big flushes — the
+        arrival-rate fixed point alone can't see it."""
         costs = {"assembly": StageCost(setup=0.0, unit=0.002),
                  "solve": StageCost(setup=0.006, unit=0.001),
                  "postprocess": StageCost(setup=0.0, unit=0.0005),
@@ -161,13 +160,13 @@ class TestLittlesLaw:
         calibrated = CalibratedWorkstation.fit(
             snap, probe=costs, min_samples=16)
         assert calibrated.mix.concurrency == pytest.approx(6.0)
-        saturated = calibrated.simulate(BatchPolicy(max_batch=16, max_wait=0.0))
+        saturated = calibrated.simulate(16)
         assert saturated.batch_size == pytest.approx(6.0)
         # Latency is bounded below by Little's law, not the bare service.
         assert saturated.latency_seconds >= (
             calibrated.mix.concurrency / saturated.throughput_rps) - 1e-9
         # The policy cap still binds.
-        capped = calibrated.simulate(BatchPolicy(max_batch=2, max_wait=0.0))
+        capped = calibrated.simulate(2)
         assert capped.batch_size == pytest.approx(2.0)
 
     def test_light_load_is_unchanged_by_the_floor(self):
@@ -175,7 +174,7 @@ class TestLittlesLaw:
                              latency_ms=8.0)
         calibrated = CalibratedWorkstation.fit(snap, min_samples=16)
         assert calibrated.mix.concurrency < 0.1
-        prediction = calibrated.simulate(BatchPolicy(max_batch=16, max_wait=0.0))
+        prediction = calibrated.simulate(16)
         assert prediction.batch_size == pytest.approx(1.0)
 
 
@@ -237,8 +236,7 @@ class TestValidate:
     def test_within_tolerance_band_is_symmetric(self):
         snap = make_snapshot(requests=100, uptime=100.0, latency_ms=10.0)
         calibrated = CalibratedWorkstation.fit(snap, min_samples=16)
-        report = calibrated.validate(BatchPolicy(max_batch=1, max_wait=0.0),
-                                     tolerance=0.5)
+        report = calibrated.validate(1, tolerance=0.5)
         assert report.ratio is not None
         assert report.within_tolerance == (
             1.0 / 1.5 <= report.ratio <= 1.5)
@@ -249,8 +247,7 @@ class TestValidate:
         snap = make_snapshot(requests=1000, uptime=10.0, batch=1,
                              latency_ms=60.0)
         calibrated = CalibratedWorkstation.fit(snap, min_samples=16)
-        report = calibrated.validate(BatchPolicy(max_batch=1, max_wait=0.0),
-                                     tolerance=1.0)
+        report = calibrated.validate(1, tolerance=1.0)
         assert report.within_tolerance
 
 

@@ -1,131 +1,12 @@
-"""Closing the loop for real: a live service with deliberately bad
-knobs converges to a batched configuration under ``--autotune apply``,
-and the observability surfaces (``/metrics`` workload section,
-``/debug/autotune``, Prometheus rendering) tell the story."""
+"""The ``/metrics`` workload section: the problem mix a live service
+admits, the input :func:`repro.serve.calibrate.fit_stage_means` reads."""
 
-import json
-import threading
-import time
-import urllib.error
-import urllib.request
-
-import pytest
-
-from repro.cluster import ClusterRouter
-from repro.cluster.http import start_cluster_server
-from repro.errors import ClusterError
-from repro.obs.prometheus import render_prometheus
-from repro.serve import AnalysisService, start_server
-
-
-def steady_load(service, *, threads=4, n_panels=64):
-    """Closed-loop load generators against the in-process service."""
-    stop = threading.Event()
-    completed = [0]
-    lock = threading.Lock()
-
-    def run():
-        while not stop.is_set():
-            service.analyze({"airfoil": "0012", "alpha_degrees": 2.0,
-                             "n_panels": n_panels})
-            with lock:
-                completed[0] += 1
-
-    pool = [threading.Thread(target=run, daemon=True) for _ in range(threads)]
-    for thread in pool:
-        thread.start()
-
-    def throughput(seconds):
-        with lock:
-            before = completed[0]
-        start = time.monotonic()
-        time.sleep(seconds)
-        with lock:
-            after = completed[0]
-        return (after - before) / (time.monotonic() - start)
-
-    def shutdown():
-        stop.set()
-        for thread in pool:
-            thread.join(timeout=5.0)
-
-    return throughput, shutdown
-
-
-class TestAutotuneConvergence:
-    def test_apply_escapes_bad_knobs(self):
-        """The acceptance gate: max_batch=1/max_wait=0 under steady load
-        converges via apply to >= 1.3x the bad-knob throughput, with the
-        journal carrying predicted-vs-realized deltas."""
-        service = AnalysisService(max_batch=1, max_wait=0.0, cache_size=0,
-                                  n_workers=1, queue_limit=512,
-                                  trace_sample=1.0, autotune="apply",
-                                  autotune_interval=3600.0,
-                                  autotune_min_improvement=0.05)
-        throughput, shutdown = steady_load(service)
-        try:
-            time.sleep(2.0)  # warm-up
-            baseline = throughput(3.0)
-            assert baseline > 0.0
-            assert service.policy.max_batch == 1
-
-            first = service.autotuner.run_cycle()
-            assert first["action"] == "applied", first
-            assert service.policy.max_batch > 1
-            assert first["predicted_improvement"] >= 0.05
-            assert first["old"]["max_batch"] == 1
-            assert first["new"]["max_batch"] == service.policy.max_batch
-
-            tuned = throughput(3.0)
-            assert tuned >= 1.3 * baseline, (
-                f"autotuned throughput {tuned:.1f} rps is not >= 1.3x "
-                f"the bad-knob baseline {baseline:.1f} rps")
-
-            # The next cycle realizes the applied decision's delta.
-            service.autotuner.run_cycle()
-            applied = service.autotuner.journal()[0]
-            assert applied["action"] == "applied"
-            assert applied["realized_throughput_gain"] is not None
-            assert applied["realized_throughput_gain"] >= 1.3
-            assert applied["realized"]["throughput_after_rps"] > (
-                applied["realized"]["throughput_before_rps"])
-
-            # /metrics carries the autotune section; Prometheus renders
-            # its counters as counters.
-            snapshot = service.metrics_snapshot()
-            assert snapshot["autotune"]["applies"] >= 1
-            assert snapshot["autotune"]["last_action"] in ("applied", "held")
-            text = render_prometheus(snapshot)
-            assert "# TYPE repro_autotune_applies counter" in text
-            assert "# TYPE repro_autotune_decisions gauge" in text
-        finally:
-            shutdown()
-            assert service.close(timeout=10.0)
-
-    def test_advise_observes_but_never_acts(self):
-        service = AnalysisService(max_batch=1, max_wait=0.0, cache_size=0,
-                                  n_workers=1, queue_limit=512,
-                                  trace_sample=1.0, autotune="advise",
-                                  autotune_interval=3600.0,
-                                  autotune_min_improvement=0.05)
-        throughput, shutdown = steady_load(service)
-        try:
-            time.sleep(2.5)
-            decision = service.autotuner.run_cycle()
-            assert decision["action"] in ("advised", "held")
-            assert service.policy.max_batch == 1
-            assert service.policy.max_wait == 0.0
-            if decision["action"] == "advised":
-                assert decision["new"]["max_batch"] > 1
-        finally:
-            shutdown()
-            assert service.close(timeout=10.0)
+from repro.serve import AnalysisService
 
 
 class TestWorkloadSection:
     def test_metrics_record_the_problem_mix(self):
-        service = AnalysisService(max_batch=4, max_wait=0.002, cache_size=8,
-                                  n_workers=1)
+        service = AnalysisService(max_batch=4, cache_size=8, n_workers=1)
         try:
             for _ in range(3):
                 service.analyze({"airfoil": "0012", "alpha_degrees": 1.0,
@@ -140,8 +21,7 @@ class TestWorkloadSection:
             assert service.close(timeout=10.0)
 
     def test_cache_hits_still_count_toward_the_mix(self):
-        service = AnalysisService(max_batch=4, max_wait=0.002, cache_size=8,
-                                  n_workers=1)
+        service = AnalysisService(max_batch=4, cache_size=8, n_workers=1)
         try:
             payload = {"airfoil": "0012", "alpha_degrees": 1.0,
                        "n_panels": 72}
@@ -150,97 +30,4 @@ class TestWorkloadSection:
             workload = service.metrics_snapshot()["workload"]
             assert workload["n_panels_histogram"]["72"] == 2
         finally:
-            assert service.close(timeout=10.0)
-
-
-def http_get(port, route):
-    try:
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}{route}", timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-class TestDebugEndpoint:
-    def test_serve_404_when_autotuning_is_off(self):
-        service = AnalysisService(max_batch=4, max_wait=0.002, n_workers=1)
-        server = start_server(service)
-        try:
-            status, body = http_get(server.port, "/debug/autotune")
-            assert status == 404
-            assert "not enabled" in body["error"]
-        finally:
-            server.stop()
-            assert service.close(timeout=10.0)
-
-    def test_serve_debug_document_and_ascii(self):
-        service = AnalysisService(max_batch=1, max_wait=0.0, cache_size=0,
-                                  n_workers=1, trace_sample=1.0,
-                                  autotune="advise",
-                                  autotune_interval=3600.0)
-        server = start_server(service)
-        try:
-            service.autotuner.run_cycle()  # held: insufficient traffic
-            status, body = http_get(server.port, "/debug/autotune")
-            assert status == 200
-            assert body["config"]["mode"] == "advise"
-            assert body["journal"][0]["reason"] == "insufficient-traffic"
-
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}"
-                    "/debug/autotune?format=ascii", timeout=30) as response:
-                assert response.status == 200
-                text = response.read().decode()
-            assert "decisions" in text or "no sweep yet" in text
-
-            status, _body = http_get(server.port,
-                                     "/debug/autotune?format=xml")
-            assert status == 400
-        finally:
-            server.stop()
-            assert service.close(timeout=10.0)
-
-    def test_cluster_endpoint_and_weighted_ring(self):
-        service = AnalysisService(max_batch=8, max_wait=0.002, n_workers=1)
-        replica_server = start_server(service)
-        router = ClusterRouter([f"127.0.0.1:{replica_server.port}"],
-                               health_interval=0.05,
-                               autotune="advise",
-                               autotune_interval=3600.0).start()
-        front = start_cluster_server(router)
-        try:
-            status, body = http_get(front.port, "/debug/autotune")
-            assert status == 200
-            assert body["config"]["mode"] == "advise"
-            assert set(body["weights"]) == set(router.replicas)
-
-            # Reweighting swaps the ring atomically and counts itself.
-            name = next(iter(router.replicas))
-            router.apply_weights({name: 1.0})
-            status_doc = router.status()
-            assert status_doc["ring"]["weights"][name] == pytest.approx(1.0)
-            assert router.metrics.snapshot()["ring_reweights"] == 1
-            with pytest.raises(ClusterError):
-                router.apply_weights({name: 0.0})
-        finally:
-            front.stop()
-            router.close()
-            replica_server.stop()
-            assert service.close(timeout=10.0)
-
-    def test_cluster_404_when_off(self):
-        service = AnalysisService(max_batch=8, max_wait=0.002, n_workers=1)
-        replica_server = start_server(service)
-        router = ClusterRouter([f"127.0.0.1:{replica_server.port}"],
-                               health_interval=0.05).start()
-        front = start_cluster_server(router)
-        try:
-            status, body = http_get(front.port, "/debug/autotune")
-            assert status == 404
-            assert "not enabled" in body["error"]
-        finally:
-            front.stop()
-            router.close()
-            replica_server.stop()
             assert service.close(timeout=10.0)

@@ -1,4 +1,4 @@
-"""Regression tests for the tuner/metrics seams the autotuner consumes.
+"""Regression tests for the seams between the slice tuners and the metrics.
 
 Each test class pins one of the PR's satellite bugfixes:
 
