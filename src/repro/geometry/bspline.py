@@ -11,6 +11,7 @@ surfaces.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -38,16 +39,41 @@ def open_uniform_knots(n_control: int, degree: int) -> np.ndarray:
     ])
 
 
+#: Distinct bases kept by :func:`basis_functions`.  A GA layout needs at
+#: most four (two surfaces, each at the feasibility stations and at the
+#: discretization grid); the rest is headroom for other panel counts.
+BASIS_CACHE_SIZE = 64
+
+
 def basis_functions(knots: np.ndarray, degree: int, parameters: np.ndarray) -> np.ndarray:
     """Evaluate all B-spline basis functions at the given parameters.
 
-    Returns an array of shape ``(len(parameters), n_control)`` where
-    ``n_control = len(knots) - degree - 1``, built with the Cox–de Boor
-    recursion.  The conventional right-end fix makes the basis sum to
-    one at ``t = 1`` as well.
+    Returns a read-only array of shape ``(len(parameters), n_control)``
+    where ``n_control = len(knots) - degree - 1``, built with the
+    Cox–de Boor recursion.  The conventional right-end fix makes the
+    basis sum to one at ``t = 1`` as well.
+
+    The basis depends only on the knots, the degree and the parameters,
+    never on the control points, so it is computed once per distinct
+    ``(knots, degree, parameters)`` — compared by their bytes — and kept
+    in a bounded LRU cache.  A call that raises caches nothing.
     """
-    knots = np.asarray(knots, dtype=np.float64)
-    t = np.atleast_1d(np.asarray(parameters, dtype=np.float64))
+    knots = np.ascontiguousarray(knots, dtype=np.float64)
+    t = np.ascontiguousarray(np.atleast_1d(parameters), dtype=np.float64)
+    return _cached_basis(knots.tobytes(), int(degree), t.tobytes(), t.shape)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _cached_basis(knot_bytes: bytes, degree: int, parameter_bytes: bytes,
+                  shape: tuple) -> np.ndarray:
+    basis = cox_de_boor(np.frombuffer(knot_bytes), degree,
+                        np.frombuffer(parameter_bytes).reshape(shape))
+    basis.setflags(write=False)
+    return basis
+
+
+def cox_de_boor(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:
+    """The uncached basis of :func:`basis_functions` (float64 inputs)."""
     if np.any(t < knots[0]) or np.any(t > knots[-1]):
         raise GeometryError("parameter outside the knot range")
     n_control = len(knots) - degree - 1

@@ -6,10 +6,13 @@ configuration — so two requests hit the same entry exactly when they
 would compute the same record.  Values are the wire-format response
 dicts, which are never mutated after insertion.
 
-The counters feed the service's ``/metrics`` endpoint.  A lookup that
-returns a value counts as a hit, one that returns ``None`` as a miss;
-a duplicate coalesced inside one micro-batch is served from the entry
-its batchmate just inserted and therefore counts as a hit too.
+The counters feed the service's ``/metrics`` endpoint.  Each request
+counts exactly one lookup, made at admission: a hit when it is answered
+without a solve of its own, a miss otherwise.  A request that missed at
+admission but is answered by the worker's re-check (:meth:`recheck`) or
+by a batchmate's solve (:meth:`count_hits`) turns its miss into a hit,
+so ``hits + misses`` is the number of requests however a burst splits
+into batches.
 """
 
 from __future__ import annotations
@@ -91,6 +94,27 @@ class ResultCache:
             self._entries.move_to_end(key)
             self._hits += 1
             return value
+
+    def recheck(self, key: str, requests: int) -> Optional[dict]:
+        """Look *key* up again for *requests* that missed at admission.
+
+        A hit refreshes recency and turns their misses into hits; a miss
+        counts nothing new.
+        """
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self._misses -= requests
+                self._hits += requests
+            return value
+
+    def count_hits(self, requests: int) -> None:
+        """Turn the admission misses of *requests* into hits: a
+        batchmate's solve answered them."""
+        with self._lock:
+            self._misses -= requests
+            self._hits += requests
 
     def peek(self, key: str) -> Optional[dict]:
         """Uncounted lookup: no recency refresh, no counter updates."""

@@ -37,102 +37,44 @@ overrides the header, which overrides the service default).  A request
 whose deadline expires before evaluation is dropped at batch
 collection and answered ``504 Gateway Timeout``.
 
-Error mapping: malformed input → 400, shed load → 503, expired
-deadline → 504, unexpected failure → 500.  The server is a
-``ThreadingHTTPServer``; every handler thread just blocks on the
-service's :class:`PendingResult`, so the micro-batcher sees all
-concurrent requests at once.  The default per-line stderr access log
-stays disabled — the service's structured logger emits one JSON line
-per request outcome instead (see :mod:`repro.obs.logging`), which is
-what a serving process under load can actually afford.
+Error mapping: malformed input → 400, unknown job → 404, shed load →
+503, expired deadline → 504, unexpected failure → 500.  The routes
+mount on the handler core shared with the cluster router
+(:mod:`repro.serve.httpcore`), which writes each response in one
+socket write and keeps the stdlib's per-line access log off — the
+service's structured logger emits one JSON line per request outcome
+instead (see :mod:`repro.obs.logging`).  Every handler thread just
+blocks on the service's :class:`PendingResult`, so the micro-batcher
+sees all concurrent requests at once.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
-from repro.core.api import canonical_json, extract_deadline_ms, validate_deadline_ms
-from repro.errors import (
-    DeadlineExceededError,
-    JobNotFoundError,
-    OverloadedError,
-    ReproError,
-    ServeError,
-)
-from repro.obs.context import TRACE_HEADER, maybe_parse_trace_header
-from repro.obs.ids import REQUEST_ID_HEADER, coerce_request_id
-from repro.obs.prometheus import render_prometheus
+from repro.core.api import canonical_json, extract_deadline_ms
+from repro.errors import JobNotFoundError, ReproError, ServeError
+from repro.serve.httpcore import CoreHandler, CoreHTTPServer, error_body
+# Wire constants, importable from this module too.
+from repro.serve.httpcore import DEADLINE_HEADER, MAX_BODY_BYTES  # noqa: F401
 from repro.serve.service import AnalysisService
-
-#: Request header carrying the relative deadline budget in milliseconds.
-DEADLINE_HEADER = "X-Repro-Deadline-Ms"
-
-#: Maximum accepted request body, a guard against memory-exhaustion.
-MAX_BODY_BYTES = 1 << 20
 
 #: Default number of traces rendered by ``/debug/trace``.
 DEFAULT_TRACE_COUNT = 16
 
 
-class AnalysisHTTPServer(ThreadingHTTPServer):
+class AnalysisHTTPServer(CoreHTTPServer):
     """A threading HTTP server bound to one :class:`AnalysisService`."""
 
-    daemon_threads = True
-    allow_reuse_address = True
-    # The socketserver default backlog of 5 resets connections under a
-    # concurrent burst — exactly the workload a micro-batcher exists for.
-    request_queue_size = 128
+    thread_name = "repro-serve-http"
 
     def __init__(self, address: Tuple[str, int], service: AnalysisService, *,
                  request_timeout: float = 60.0) -> None:
-        super().__init__(address, _AnalysisHandler)
+        super().__init__(address, _AnalysisHandler,
+                         request_timeout=request_timeout)
         self.service = service
-        self.request_timeout = request_timeout
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with an ephemeral ``port=0`` bind)."""
-        return self.server_address[1]
-
-    def start_background(self) -> "AnalysisHTTPServer":
-        """Serve from a daemon thread; returns self for chaining."""
-        if self._thread is not None:
-            raise ServeError("server is already running")
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-http", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block on the background acceptor thread; True once it exits."""
-        if self._thread is None:
-            return True
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Stop accepting connections and join the acceptor thread.
-
-        Safe to call before :meth:`start_background` (and idempotent):
-        ``BaseServer.shutdown`` waits on an event that only
-        ``serve_forever`` sets, so calling it without a running
-        acceptor thread would hang forever — when no thread was ever
-        started, only the listening socket needs closing.
-        """
-        if self._thread is None:
-            self.server_close()
-            return
-        self.shutdown()
-        self.server_close()
-        self._thread.join(timeout)
-        self._thread = None
 
 
 def start_server(service: AnalysisService, *, host: str = "127.0.0.1",
@@ -143,17 +85,16 @@ def start_server(service: AnalysisService, *, host: str = "127.0.0.1",
     return server.start_background()
 
 
-class _AnalysisHandler(BaseHTTPRequestHandler):
+class _AnalysisHandler(CoreHandler):
     server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    timeout = 120.0  # socket inactivity guard for keep-alive connections
 
-    # The default handler writes a per-request access line to stderr; a
-    # serving process under load must not pay for that.  Request-level
-    # visibility comes from the service's structured logger instead
-    # (one JSON line per outcome, with request ID and stage breakdown).
-    def log_message(self, format, *args) -> None:  # noqa: A002
-        pass
+    def error_status(self, error: BaseException) -> int:
+        if isinstance(error, JobNotFoundError):
+            return 404
+        return super().error_status(error)
+
+    def metrics_document(self) -> dict:
+        return self.server.service.metrics_snapshot()
 
     # ------------------------------------------------------------------
     # Routes
@@ -179,8 +120,7 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         elif route == "/jobs" or route.startswith("/jobs/"):
             self._handle_jobs_get(route, query)
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}",
-                                  "type": "NotFound"})
+            self._send_not_found()
 
     def do_POST(self) -> None:
         route = urllib.parse.urlsplit(self.path).path
@@ -193,24 +133,7 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         elif route.startswith("/jobs/") and route.endswith("/cancel"):
             self._handle_job_cancel(route)
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}",
-                                  "type": "NotFound"})
-
-    def _handle_metrics(self, query: dict) -> None:
-        snapshot = self.server.service.metrics_snapshot()
-        fmt = query.get("format", ["json"])[-1]
-        if fmt == "prometheus":
-            body = render_prometheus(snapshot).encode("utf-8")
-            self._send_body(200, body,
-                            content_type="text/plain; version=0.0.4; charset=utf-8")
-        elif fmt == "json":
-            self._send_json(200, snapshot)
-        else:
-            self._send_json(400, {
-                "error": f"unknown metrics format {fmt!r} "
-                         "(expected 'json' or 'prometheus')",
-                "type": "ServeError",
-            })
+            self._send_not_found()
 
     def _handle_debug_trace(self, query: dict) -> None:
         service = self.server.service
@@ -270,17 +193,6 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             }, request_id=request_id)
         return runner
 
-    def _send_job_error(self, error: BaseException,
-                        request_id: Optional[str]) -> None:
-        if isinstance(error, JobNotFoundError):
-            status = 404
-        elif isinstance(error, ReproError):
-            status = 400
-        else:  # pragma: no cover - defensive
-            status = 500
-        self._send_json(status, _error_body(error, request_id),
-                        request_id=request_id)
-
     def _handle_jobs_get(self, route: str, query: dict) -> None:
         from repro.jobs import json_safe
 
@@ -295,8 +207,8 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
                         for record in runner.store.list()]
                 self._send_json(200, {"jobs": jobs}, request_id=request_id)
             elif len(parts) == 2:
-                record = runner.store.get(parts[1])
-                self._send_json(200, json_safe(record.to_dict()),
+                # Rendered once per change of the record, not per poll.
+                self._send_body(200, runner.store.document(parts[1]),
                                 request_id=request_id)
             elif len(parts) == 3 and parts[2] == "events":
                 try:
@@ -313,11 +225,9 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
                     "next_since": events[-1]["seq"] if events else since,
                 }, request_id=request_id)
             else:
-                self._send_json(404, {"error": f"unknown path {self.path}",
-                                      "type": "NotFound"},
-                                request_id=request_id)
+                self._send_not_found(request_id)
         except ReproError as error:
-            self._send_job_error(error, request_id)
+            self._send_error(error, request_id)
 
     def _handle_jobs_submit(self) -> None:
         from repro.jobs import JobSpec, json_safe
@@ -340,7 +250,7 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             record = runner.submit(JobSpec.from_dict(payload),
                                    job_key=job_key)
         except ReproError as error:
-            self._send_job_error(error, request_id)
+            self._send_error(error, request_id)
             return
         self._send_json(200, json_safe(record.to_dict()),
                         request_id=request_id)
@@ -355,31 +265,19 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             return
         parts = [part for part in route.split("/") if part]
         if len(parts) != 3:
-            self._send_json(404, {"error": f"unknown path {self.path}",
-                                  "type": "NotFound"}, request_id=request_id)
+            self._send_not_found(request_id)
             return
         try:
             record = runner.cancel(parts[1])
         except ReproError as error:
-            self._send_job_error(error, request_id)
+            self._send_error(error, request_id)
             return
         self._send_json(200, json_safe(record.to_dict(include_result=False)),
                         request_id=request_id)
 
-    def _header_deadline_ms(self) -> Optional[float]:
-        """The validated ``X-Repro-Deadline-Ms`` header, if present."""
-        raw = self.headers.get(DEADLINE_HEADER)
-        if raw is None:
-            return None
-        return validate_deadline_ms(raw)
-
-    def _header_request_id(self) -> str:
-        """The validated ``X-Repro-Request-Id`` header, or a fresh ID."""
-        return coerce_request_id(self.headers.get(REQUEST_ID_HEADER))
-
-    def _header_trace_context(self):
-        """The validated ``X-Repro-Trace`` header, or ``None``."""
-        return maybe_parse_trace_header(self.headers.get(TRACE_HEADER))
+    # ------------------------------------------------------------------
+    # Analyze routes
+    # ------------------------------------------------------------------
 
     def _handle_analyze(self) -> None:
         payload = self._read_json()
@@ -397,21 +295,8 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
                                      deadline_ms=deadline_ms,
                                      request_id=request_id,
                                      trace_context=trace_context)
-        except DeadlineExceededError as error:
-            self._send_json(504, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        except OverloadedError as error:
-            self._send_json(503, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        except ReproError as error:
-            self._send_json(400, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        except Exception as error:  # pragma: no cover - defensive
-            self._send_json(500, _error_body(error, request_id),
-                            request_id=request_id)
+        except Exception as error:
+            self._send_error(error, request_id)
             return
         self._send_body(200, canonical_json(result).encode("utf-8"),
                         request_id=request_id)
@@ -432,7 +317,7 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             trace_context = self._header_trace_context()
             header_deadline = self._header_deadline_ms()
         except ServeError as error:
-            self._send_json(400, _error_body(error))
+            self._send_error(error)
             return
         # Submit everything before waiting on anything, so items that
         # queue while a worker is busy share its next solve stack.
@@ -449,13 +334,13 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         results = []
         for pending in pendings:
             if isinstance(pending, Exception):
-                results.append(_error_body(pending))
+                results.append(error_body(pending))
                 continue
             try:
                 results.append(pending.result(timeout=self.server.request_timeout))
             except ReproError as error:
                 pending.cancel()  # detach so the worker drops the job
-                results.append(_error_body(error))
+                results.append(error_body(error))
         self._send_json(200, {"request_id": request_id, "results": results},
                         request_id=request_id)
 
@@ -471,58 +356,3 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         return service.submit(item, deadline_ms=header_deadline,
                               request_id=request_id,
                               trace_context=trace_context)
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-
-    def _drain_body(self) -> None:
-        """Read and discard a request body (keep-alive hygiene for
-        endpoints that take no input, like ``/jobs/<id>/cancel``)."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            length = 0
-        if 0 < length <= MAX_BODY_BYTES:
-            self.rfile.read(length)
-
-    def _read_json(self):
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(400, {"error": "missing or oversized request body",
-                                  "type": "ServeError"})
-            return None
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._send_json(400, {"error": f"invalid JSON body: {error}",
-                                  "type": "ServeError"})
-            return None
-
-    def _send_json(self, status: int, payload: dict, *,
-                   request_id: Optional[str] = None) -> None:
-        self._send_body(status, canonical_json(payload).encode("utf-8"),
-                        request_id=request_id)
-
-    def _send_body(self, status: int, body: bytes, *,
-                   content_type: str = "application/json",
-                   request_id: Optional[str] = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if request_id is not None:
-            self.send_header(REQUEST_ID_HEADER, request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-
-def _error_body(error: BaseException,
-                request_id: Optional[str] = None) -> dict:
-    body = {"error": str(error), "type": type(error).__name__}
-    if request_id is not None:
-        body["request_id"] = request_id
-    return body

@@ -404,7 +404,8 @@ class AnalysisService:
         to_solve: List[List[_Job]] = []
         recheck_started = time.monotonic()
         for key, group in groups.items():
-            cached = self.cache.get(key)  # an earlier batch may have filled it
+            # An earlier batch may have filled it since admission.
+            cached = self.cache.recheck(key, len(group))
             if cached is not None:
                 for job in group:
                     job.cache_hit = True
@@ -457,10 +458,10 @@ class AnalysisService:
                                         serialize_ended)
             self.cache.put(leader.key, payload)
             self._complete_job(leader, payload, now)
+            self.cache.count_hits(len(group) - 1)
             for job in group[1:]:  # coalesced duplicates: cache hits
-                value = self.cache.get(job.key) or payload
                 job.cache_hit = True
-                self._complete_job(job, value, now)
+                self._complete_job(job, payload, now)
 
     def _fail_batch(self, jobs: List[_Job], error: BaseException) -> None:
         """Last-resort failure path when batch processing itself raises."""

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.bspline import (
+    BASIS_CACHE_SIZE,
     BSplineAirfoil,
     BSplineCurve,
+    _cached_basis,
     basis_functions,
+    cox_de_boor,
     open_uniform_knots,
 )
 
@@ -58,6 +63,69 @@ class TestBasis:
         knots = open_uniform_knots(6, 3)
         with pytest.raises(GeometryError, match="outside"):
             basis_functions(knots, 3, np.array([1.5]))
+
+
+def _outcome(call):
+    """``("ok", bytes, shape)`` or ``("raises", type, message)``."""
+    try:
+        basis = call()
+    except Exception as error:  # compared, not swallowed
+        return ("raises", type(error), str(error))
+    return ("ok", basis.tobytes(), basis.shape)
+
+
+@st.composite
+def basis_inputs(draw):
+    """Random non-decreasing knots, a degree, and parameters that are
+    mostly inside the knot range, sometimes on its ends or just outside."""
+    degree = draw(st.integers(min_value=0, max_value=4))
+    unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    knots = sorted(draw(st.lists(unit, min_size=degree + 2, max_size=12)))
+    inside = st.floats(min_value=knots[0], max_value=knots[-1],
+                       allow_nan=False)
+    edge = st.sampled_from([knots[0], knots[-1], knots[0] - 1e-9,
+                            knots[-1] + 1e-9])
+    parameters = draw(st.lists(st.one_of(inside, inside, edge),
+                               min_size=1, max_size=40))
+    return np.asarray(knots), degree, np.asarray(parameters)
+
+
+class TestBasisCache:
+    @settings(max_examples=150, deadline=None)
+    @given(basis_inputs())
+    def test_cached_is_byte_identical_to_the_recursion(self, inputs):
+        knots, degree, parameters = inputs
+        expected = _outcome(lambda: cox_de_boor(knots, degree, parameters))
+        first = _outcome(lambda: basis_functions(knots, degree, parameters))
+        again = _outcome(lambda: basis_functions(list(knots), degree,
+                                                 parameters.copy()))
+        assert first == expected
+        assert again == expected  # a cache hit, or a fresh raise
+
+    def test_result_is_read_only(self):
+        basis = basis_functions(open_uniform_knots(7, 3), 3,
+                                np.linspace(0.0, 1.0, 9))
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
+
+    def test_out_of_range_raises_on_every_call(self):
+        knots = open_uniform_knots(7, 3)
+        for _ in range(3):
+            with pytest.raises(GeometryError):
+                basis_functions(knots, 3, [0.5, 1.5])
+
+    def test_cache_stays_bounded(self):
+        knots = open_uniform_knots(7, 3)
+        for count in range(2, 2 * BASIS_CACHE_SIZE + 2):
+            basis_functions(knots, 3, np.linspace(0.0, 1.0, count))
+        assert _cached_basis.cache_info().currsize == BASIS_CACHE_SIZE
+
+    def test_one_grid_is_computed_once(self):
+        knots = open_uniform_knots(7, 3)
+        grid = np.linspace(0.0, 1.0, 31)
+        first = basis_functions(knots, 3, grid)
+        assert basis_functions(list(knots), 3, grid.copy()) is first
 
 
 class TestCurve:

@@ -1,9 +1,12 @@
 """Tests for the genome-keyed LRU result cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
-from repro.serve import ResultCache
+from repro.serve import AnalysisService, ResultCache
+from tests.test_serve_lifecycle import _GatedService
 
 
 class TestLRUPolicy:
@@ -115,3 +118,59 @@ class TestCounterLocking:
         assert cache.evictions == 0
         assert cache.hit_rate == 0.5
         assert counting.acquisitions == 4  # one locked snapshot apiece
+
+
+def _request(index):
+    return {"airfoil": "0012", "alpha_degrees": float(index),
+            "n_panels": 20, "reynolds": None}
+
+
+class TestOneLookupPerRequest:
+    """Each request counts one lookup: a hit when it is answered without
+    a solve of its own, however a burst splits into batches."""
+
+    def test_recheck_and_batchmate_hits_count_per_request(self):
+        # The gated worker holds a batch of one A.  Meanwhile three more
+        # A and two B queue up, missing at admission; the next batch
+        # answers the A's from the cache at its re-check and the second
+        # B from its batchmate's solve.  Two of six requests were solved.
+        service = _GatedService(max_batch=8, cache_size=8, n_workers=1)
+        try:
+            pendings = [service.submit(_request(1))]
+            assert service.parked.wait(10.0)
+            pendings += [service.submit(_request(1)) for _ in range(3)]
+            pendings += [service.submit(_request(2)) for _ in range(2)]
+            service.gate.set()
+            for pending in pendings:
+                pending.result(timeout=10.0)
+            stats = service.cache.stats()
+            assert (stats["hits"], stats["misses"]) == (4, 2)
+            assert service.metrics_snapshot()["batching"]["solved_systems"] == 2
+        finally:
+            service.gate.set()
+            service.close()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.integers(min_value=0, max_value=2),
+                              st.just("batch")), max_size=16),
+           st.sampled_from([0, 8]))
+    def test_hits_plus_misses_is_requests_for_any_split(self, steps, capacity):
+        """Requests are admitted in order; each ``"batch"`` step hands
+        everything queued so far to the worker logic as one batch."""
+        with AnalysisService(cache_size=capacity, n_workers=1) as service:
+            queued = []
+            service._pool.submit = lambda job, on_enqueue: (on_enqueue(),
+                                                            queued.append(job))
+            pendings = []
+            for step in steps + ["batch"]:
+                if step != "batch":
+                    pendings.append(service.submit(_request(step)))
+                elif queued:
+                    service._process_batch(list(queued))
+                    queued.clear()
+            for pending in pendings:
+                assert "cl" in pending.result(timeout=10.0)
+            stats = service.cache.stats()
+            solved = service.metrics_snapshot()["batching"]["solved_systems"]
+            assert stats["hits"] + stats["misses"] == len(pendings)
+            assert stats["hits"] == len(pendings) - solved
