@@ -20,12 +20,6 @@ the process died stay ``RUNNING`` after replay and are reported by
 **Checkpoints.**  :meth:`write_checkpoint` writes the whole payload to
 a temp file, fsyncs, and :func:`os.replace`-renames it over the live
 checkpoint — a reader never observes a half-written file.
-
-**Documents.**  :meth:`document` serves the ``GET /jobs/<id>`` body.  It
-is rendered on the first read after a change to the record and reused
-until the next one: every mutation runs under the store's lock and
-drops the record's rendered document, so a client polling a running
-job pays a dictionary lookup, not a render, between generations.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ import time
 import uuid
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.api import canonical_json
 from repro.errors import JobError, JobNotFoundError
 from repro.jobs.metrics import JobMetrics
 from repro.jobs.model import (
@@ -45,7 +38,6 @@ from repro.jobs.model import (
     JobSpec,
     JobState,
     derive_job_id,
-    json_safe,
     validate_job_key,
 )
 from repro.obs.logging import StructuredLogger
@@ -85,8 +77,6 @@ class JobStore:
         self._records: "Dict[str, JobRecord]" = {}
         self._events: "Dict[str, List[dict]]" = {}
         self._keys: "Dict[str, str]" = {}  # job_key -> job_id
-        #: Rendered ``GET /jobs/<id>`` bodies; a mutation drops its entry.
-        self._documents: "Dict[str, bytes]" = {}
         #: Torn final journal lines dropped during replay (0 or 1 per
         #: boot; counted so /metrics can surface crash recoveries).
         self.torn_lines = 0
@@ -260,17 +250,6 @@ class JobStore:
                 raise JobNotFoundError(f"no such job: {job_id}")
             return record
 
-    def document(self, job_id: str) -> bytes:
-        """The strict-JSON ``GET /jobs/<id>`` body for *job_id*, rendered
-        once per change of the record; raises :class:`JobNotFoundError`."""
-        with self._lock:
-            document = self._documents.get(job_id)
-            if document is None:
-                record = self.get(job_id)
-                document = canonical_json(json_safe(record.to_dict())).encode("utf-8")
-                self._documents[job_id] = document
-            return document
-
     def list(self) -> List[JobRecord]:
         """Every record, oldest submission first."""
         with self._lock:
@@ -309,7 +288,6 @@ class JobStore:
                 raise JobError(
                     f"job {job_id} cannot move {record.state} -> {state}"
                 )
-            self._documents.pop(job_id, None)
             record.state = state
             at = time.time()
             if state == JobState.RUNNING and record.started_at is None:
@@ -361,7 +339,6 @@ class JobStore:
         """Count one crash-resume for *job_id* (journaled)."""
         with self._lock:
             record = self.get(job_id)
-            self._documents.pop(job_id, None)
             record.resumes += 1
             self._append({"type": "resume", "id": job_id, "at": time.time()})
             self.metrics.increment("resumed")
@@ -379,7 +356,6 @@ class JobStore:
             record = self.get(job_id)
             if record.terminal or record.cancel_requested:
                 return record
-            self._documents.pop(job_id, None)
             record.cancel_requested = True
             self._append({"type": "cancel", "id": job_id, "at": time.time()},
                          durable=True)
@@ -395,7 +371,6 @@ class JobStore:
         """Append one per-generation progress event (journaled)."""
         with self._lock:
             record = self.get(job_id)
-            self._documents.pop(job_id, None)
             event = dict(summary)
             event["generation"] = int(generation)
             event["seq"] = len(self._events[job_id]) + 1

@@ -6,13 +6,16 @@ configuration — so two requests hit the same entry exactly when they
 would compute the same record.  Values are the wire-format response
 dicts, which are never mutated after insertion.
 
-The counters feed the service's ``/metrics`` endpoint.  Each request
-counts exactly one lookup, made at admission: a hit when it is answered
-without a solve of its own, a miss otherwise.  A request that missed at
-admission but is answered by the worker's re-check (:meth:`recheck`) or
-by a batchmate's solve (:meth:`count_hits`) turns its miss into a hit,
-so ``hits + misses`` is the number of requests however a burst splits
-into batches.
+The counters feed the service's ``/metrics`` endpoint, which exports
+them as Prometheus counters, so they only ever rise.  :meth:`get`
+counts a lookup as it happens.  The service counts each request once
+instead, when its outcome is known: it looks up with the uncounted
+:meth:`lookup` and then calls :meth:`record` — a hit when the request
+was answered without a solve of its own (at admission, at the worker's
+re-check, or by a batchmate's solve), a miss when it was solved, shed,
+expired, dropped as cancelled or failed.  So ``hits + misses`` is the
+number of finished requests however a burst splits into batches; a
+request still in flight is in neither.
 """
 
 from __future__ import annotations
@@ -52,13 +55,15 @@ class ResultCache:
 
     @property
     def hits(self) -> int:
-        """Number of lookups that returned a value."""
+        """Counted lookups that returned a value, plus requests recorded
+        as answered without a solve of their own."""
         with self._lock:
             return self._hits
 
     @property
     def misses(self) -> int:
-        """Number of lookups that returned ``None``."""
+        """Counted lookups that returned ``None``, plus requests recorded
+        as solved, shed, expired, dropped or failed."""
         with self._lock:
             return self._misses
 
@@ -95,26 +100,22 @@ class ResultCache:
             self._hits += 1
             return value
 
-    def recheck(self, key: str, requests: int) -> Optional[dict]:
-        """Look *key* up again for *requests* that missed at admission.
-
-        A hit refreshes recency and turns their misses into hits; a miss
-        counts nothing new.
-        """
+    def lookup(self, key: str) -> Optional[dict]:
+        """Uncounted lookup that refreshes recency; the caller counts
+        the request's outcome with :meth:`record` once it is known."""
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
-                self._misses -= requests
-                self._hits += requests
             return value
 
-    def count_hits(self, requests: int) -> None:
-        """Turn the admission misses of *requests* into hits: a
-        batchmate's solve answered them."""
+    def record(self, hit: bool) -> None:
+        """Count one request's lookup as a hit or a miss."""
         with self._lock:
-            self._misses -= requests
-            self._hits += requests
+            if hit:
+                self._hits += 1
+            else:
+                self._misses += 1
 
     def peek(self, key: str) -> Optional[dict]:
         """Uncounted lookup: no recency refresh, no counter updates."""

@@ -120,9 +120,9 @@ class ObservedMix:
 
     ``mean_batch`` and ``mean_stack`` are request-weighted (see
     :func:`_request_weighted_mean`); ``measured_latency_ms`` is the
-    mean over *solved* requests — cache hits resolve in microseconds
-    and would otherwise drag the mean below anything a solve model
-    could predict.
+    mean over requests that reached a worker — admission hits resolve
+    in microseconds and would otherwise drag the mean below anything a
+    solve model could predict.
     """
 
     window_seconds: float
@@ -213,14 +213,15 @@ def fit_stage_means(snapshot: dict, previous: Optional[dict] = None, *,
     precision = (max(precision_hist.items(), key=lambda item: item[1])[0]
                  if precision_hist else "double")
 
-    # Mean latency of solved (non-cache-hit) requests: the latency
-    # histogram sums over everything, so subtract the (tiny) hit
-    # latencies by count — hits complete in ~microseconds.
-    latency_count = delta_counter(snapshot, previous, "latency_hist_ms", "count")
+    # Mean latency of the requests that reached a worker, which the
+    # batch histogram counts.  The latency histogram also counts the
+    # admission hits, but they complete in ~microseconds and add next to
+    # no latency mass.  ``cache.hits`` cannot stand in for them: it also
+    # counts batchmates answered by another request's solve, and those
+    # waited through it.
     latency_sum = delta_counter(snapshot, previous, "latency_hist_ms", "sum_ms")
-    solved_requests = latency_count - hits
-    measured = (latency_sum / solved_requests
-                if solved_requests > 0.0 else None)
+    pooled = sum(size * count for size, count in batch_hist.items())
+    measured = latency_sum / pooled if pooled > 0.0 else None
 
     mix = ObservedMix(
         window_seconds=window_seconds,

@@ -207,8 +207,8 @@ class _AnalysisHandler(CoreHandler):
                         for record in runner.store.list()]
                 self._send_json(200, {"jobs": jobs}, request_id=request_id)
             elif len(parts) == 2:
-                # Rendered once per change of the record, not per poll.
-                self._send_body(200, runner.store.document(parts[1]),
+                record = runner.store.get(parts[1])
+                self._send_json(200, json_safe(record.to_dict()),
                                 request_id=request_id)
             elif len(parts) == 3 and parts[2] == "events":
                 try:

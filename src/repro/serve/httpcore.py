@@ -17,12 +17,14 @@ sends two segments.  A client delays its ACK of the first by up to
 ~40 ms, and Nagle's algorithm holds the second until that ACK arrives,
 so every small response used to reach its client ~44 ms late — a floor
 that swamped a ~1 ms cached answer.  The handler also sets
-``TCP_NODELAY`` (``disable_nagle_algorithm``): on a real network a body
-longer than one segment (MSS ~1,448 bytes) would otherwise wait for a
-delayed ACK again.  On loopback the MSS is 64 KiB, so a loopback
-benchmark shows the single write only.  The stdlib's own ``send_error``
-path, used for malformed request lines, still writes twice;
-``TCP_NODELAY`` keeps it from waiting.
+``TCP_NODELAY`` (``disable_nagle_algorithm``), which removes that floor
+on its own; the single write still takes ~8% off a cached answer's
+median latency on loopback (``docs/serving.md``, "HTTP writes").  On a
+real network a body longer than one segment (MSS ~1,448 bytes) leaves
+in several segments however it is written, and ``TCP_NODELAY`` keeps
+the last from waiting for a delayed ACK.  The stdlib's own
+``send_error`` path, used for malformed request lines, still writes
+twice; ``TCP_NODELAY`` keeps it from waiting.
 """
 
 from __future__ import annotations
@@ -220,11 +222,14 @@ class CoreHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if request_id is not None:
             self.send_header(REQUEST_ID_HEADER, request_id)
-        # What end_headers() would flush on its own; an HTTP/0.9 request
-        # buffers no head and gets the bare body.
-        head = b"".join(getattr(self, "_headers_buffer", ()))
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # The head send_header() buffered, which end_headers() would
+        # write on its own, goes out with the body.
+        head = b"".join(self._headers_buffer)
         self._headers_buffer = []
-        self.wfile.write(head + b"\r\n" + body if head else body)
+        self.wfile.write(head + b"\r\n" + body)
 
 
 def error_body(error: BaseException, request_id: Optional[str] = None) -> dict:

@@ -88,6 +88,7 @@ class _Job:
     dequeued: Optional[float] = None
     batch_size: Optional[int] = None
     cache_hit: bool = False
+    finished: bool = False
 
 
 class AnalysisService:
@@ -255,8 +256,9 @@ class AnalysisService:
         pending = PendingResult()
         pending.request_id = request_id
         lookup_started = time.monotonic()
-        cached = self.cache.get(key)
+        cached = self.cache.lookup(key)
         if cached is not None:
+            self.cache.record(True)
             now = time.monotonic()
             self.metrics.record_admitted()
             self.metrics.record_workload(request.n_panels,
@@ -285,6 +287,7 @@ class AnalysisService:
         try:
             self._pool.submit(job, on_enqueue=self.metrics.record_admitted)
         except ServeError:
+            self.cache.record(False)
             self.metrics.record_shed()
             self.slo.record(False)
             if trace is not None:
@@ -366,10 +369,12 @@ class AnalysisService:
         without having cost an assembly+LU solve.
         """
         if job.pending.cancelled:
+            self.cache.record(False)
             self.metrics.record_cancelled()
             self._finish_job(job, "cancelled")
             return True
         if job.deadline is not None and time.monotonic() >= job.deadline:
+            self.cache.record(False)
             delivered = job.pending.fail(DeadlineExceededError(
                 f"deadline of {job.deadline_ms:g} ms expired after "
                 f"{1e3 * (time.monotonic() - job.enqueued):.1f} ms in queue; "
@@ -405,7 +410,7 @@ class AnalysisService:
         recheck_started = time.monotonic()
         for key, group in groups.items():
             # An earlier batch may have filled it since admission.
-            cached = self.cache.recheck(key, len(group))
+            cached = self.cache.lookup(key)
             if cached is not None:
                 for job in group:
                     job.cache_hit = True
@@ -458,7 +463,6 @@ class AnalysisService:
                                         serialize_ended)
             self.cache.put(leader.key, payload)
             self._complete_job(leader, payload, now)
-            self.cache.count_hits(len(group) - 1)
             for job in group[1:]:  # coalesced duplicates: cache hits
                 job.cache_hit = True
                 self._complete_job(job, payload, now)
@@ -470,7 +474,8 @@ class AnalysisService:
         )
         now = time.monotonic()
         for job in jobs:
-            self._fail_job(job, wrapped, now)
+            if not job.finished:  # not answered before the failure
+                self._fail_job(job, wrapped, now)
 
     def _resolve_group(self, group: List[_Job], payload: dict) -> None:
         now = time.monotonic()
@@ -479,6 +484,7 @@ class AnalysisService:
 
     def _complete_job(self, job: _Job, payload: dict, now: float) -> None:
         """Deliver a result; a detached waiter counts as cancelled."""
+        self.cache.record(job.cache_hit)
         if job.pending.resolve(payload):
             latency = now - job.enqueued
             self.metrics.record_completed(
@@ -492,6 +498,7 @@ class AnalysisService:
 
     def _fail_job(self, job: _Job, error: BaseException, now: float) -> None:
         """Deliver a failure; a detached waiter counts as cancelled."""
+        self.cache.record(False)
         if job.pending.fail(error):
             latency = now - job.enqueued
             self.metrics.record_failed(
@@ -506,6 +513,7 @@ class AnalysisService:
     def _finish_job(self, job: _Job, outcome: str,
                     error: Optional[BaseException] = None) -> None:
         """Close the job's trace (if sampled) and emit its log line."""
+        job.finished = True
         if job.trace is not None:
             job.trace.annotate(cache_hit=job.cache_hit)
             self.tracer.finish(job.trace, outcome)

@@ -171,3 +171,19 @@ class TestNoDelayedAckFloor:
         elapsed = time.perf_counter() - started
         assert statuses == [200] * 20
         assert elapsed < 0.3, f"20 keep-alive polls took {elapsed * 1e3:.0f} ms"
+
+
+class TestHTTP09:
+    def test_bare_body_without_a_head(self, serve):
+        """An HTTP/0.9 request gets the body alone: no status line, no
+        headers, then the connection closes."""
+        with socket.create_connection(("127.0.0.1", serve.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        assert json.loads(data) == {"queue_depth": 0, "status": "ok"}

@@ -2,14 +2,10 @@
 
 import json
 import os
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.api import canonical_json
 from repro.errors import JobError, JobNotFoundError
 from repro.jobs import (
     JobSpec,
@@ -245,66 +241,6 @@ class TestCheckpoints:
         path.write_text("{truncated", encoding="utf-8")
         with pytest.raises(JobError, match="corrupt checkpoint"):
             store.load_checkpoint(record.id)
-        store.close()
-
-
-#: Every way the store mutates a record, plus a plain read.
-_MUTATIONS = {
-    "running": lambda store, job_id: store.mark_running(job_id),
-    "progress": lambda store, job_id: store.record_progress(
-        job_id, store.get(job_id).generations_done,
-        {"best_fitness": float("-inf"), "mean_fitness": 1.5}),
-    "cancel": lambda store, job_id: store.request_cancel(job_id),
-    "resume": lambda store, job_id: store.mark_resumed(job_id),
-    "done": lambda store, job_id: store.mark_done(
-        job_id, {"champion": {"fitness": float("nan")}}),
-    "failed": lambda store, job_id: store.mark_failed(job_id, "boom"),
-    "read": lambda store, job_id: store.get(job_id),
-}
-
-
-class TestDocuments:
-    """``GET /jobs/<id>`` bodies are rendered once per change."""
-
-    @staticmethod
-    def fresh(store, job_id):
-        return canonical_json(json_safe(store.get(job_id).to_dict())).encode("utf-8")
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["submit", *_MUTATIONS]),
-                              st.integers(min_value=0, max_value=3)),
-                    max_size=14))
-    def test_cached_document_equals_a_fresh_rendering(self, steps):
-        with tempfile.TemporaryDirectory() as jobs_dir:
-            store = JobStore(jobs_dir)
-            ids = [store.submit(make_spec()).id]
-            try:
-                for action, pick in steps:
-                    if action == "submit":
-                        ids.append(store.submit(make_spec()).id)
-                    else:
-                        try:
-                            _MUTATIONS[action](store, ids[pick % len(ids)])
-                        except JobError:
-                            pass  # an illegal transition changes nothing
-                    for job_id in ids:
-                        assert store.document(job_id) == self.fresh(store, job_id)
-            finally:
-                store.close()
-
-    def test_unchanged_record_is_not_rendered_again(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        job_id = store.submit(make_spec()).id
-        first = store.document(job_id)
-        assert store.document(job_id) is first
-        store.mark_running(job_id)
-        assert store.document(job_id) is not first
-        store.close()
-
-    def test_unknown_job_raises_not_found(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        with pytest.raises(JobNotFoundError):
-            store.document("job-missing")
         store.close()
 
     def test_checkpoint_for_an_id_without_a_record(self, tmp_path):

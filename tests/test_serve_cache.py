@@ -1,10 +1,14 @@
 """Tests for the genome-keyed LRU result cache."""
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ServeError
+import repro.serve.service as service_module
+from repro.errors import DeadlineExceededError, OverloadedError, ServeError
 from repro.serve import AnalysisService, ResultCache
 from tests.test_serve_lifecycle import _GatedService
 
@@ -53,6 +57,20 @@ class TestCounters:
         cache.peek("k")
         cache.peek("missing")
         assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_lookup_is_uncounted_and_record_counts_once(self):
+        cache = ResultCache(capacity=2)
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})
+        assert cache.lookup("a") == {"v": 1}  # refreshes 'a'
+        assert cache.lookup("missing") is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put("c", {"v": 3})  # displaces 'b', the LRU entry
+        assert cache.peek("b") is None
+        cache.record(True)
+        cache.record(False)
+        cache.record(False)
+        assert (cache.hits, cache.misses) == (1, 2)
 
     def test_stats_document(self):
         cache = ResultCache(capacity=4)
@@ -174,3 +192,102 @@ class TestOneLookupPerRequest:
             solved = service.metrics_snapshot()["batching"]["solved_systems"]
             assert stats["hits"] + stats["misses"] == len(pendings)
             assert stats["hits"] == len(pendings) - solved
+
+    def test_counters_never_fall_during_a_burst(self):
+        """Prometheus exports hits and misses as counters, so a dip reads
+        as a reset.  A sampler reads them throughout a burst of identical
+        requests; the gated worker holds the first one so that the rest
+        of the burst is admitted, and missed, before any solve."""
+        service = _GatedService(max_batch=8, cache_size=8, n_workers=1)
+        samples, lock, done = [], threading.Lock(), threading.Event()
+
+        def sample():
+            with lock:
+                samples.append(service.cache.stats())
+
+        def sampler():
+            while not done.is_set():
+                sample()
+                time.sleep(0.0005)
+
+        thread = threading.Thread(target=sampler)
+        thread.start()
+        try:
+            pendings = [service.submit(_request(1))]
+            assert service.parked.wait(10.0)
+            pendings += [service.submit(_request(1)) for _ in range(15)]
+            sample()
+            service.gate.set()
+            for pending in pendings:
+                pending.result(timeout=10.0)
+            sample()
+        finally:
+            done.set()
+            thread.join()
+            service.gate.set()
+            service.close()
+        for counter in ("hits", "misses"):
+            series = [snapshot[counter] for snapshot in samples]
+            assert series == sorted(series), counter
+        assert (samples[-1]["hits"], samples[-1]["misses"]) == (15, 1)
+
+    def test_dropped_and_shed_requests_count_as_misses(self):
+        # The gated worker holds a solve; behind it one request is
+        # cancelled by its submitter, one expires in the queue and one
+        # is shed at admission.  None was answered from the cache.
+        service = _GatedService(max_batch=1, cache_size=8, n_workers=1,
+                                queue_limit=2)
+        try:
+            blocker = service.submit(_request(1))
+            assert service.parked.wait(10.0)
+            victim = service.submit(_request(2))
+            expiring = service.submit(_request(3), deadline_ms=0.001)
+            with pytest.raises(OverloadedError):
+                service.submit(_request(4))
+            assert victim.cancel()
+            service.gate.set()
+            blocker.result(timeout=10.0)
+            with pytest.raises(DeadlineExceededError):
+                expiring.result(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while (service.cache.misses < 4
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            stats = service.cache.stats()
+            assert (stats["hits"], stats["misses"]) == (0, 4)
+        finally:
+            service.gate.set()
+            service.close()
+
+    def test_a_batch_that_raises_counts_each_request_once(self, monkeypatch):
+        """Processing raises after the first of two groups was answered:
+        the answered request stays completed, the other fails, and each
+        counts one lookup."""
+        real = service_module.serialize_analysis
+        calls = []
+
+        def flaky(request, outcome):
+            calls.append(request)
+            if len(calls) == 2:
+                raise RuntimeError("serializer broke")
+            return real(request, outcome)
+
+        monkeypatch.setattr(service_module, "serialize_analysis", flaky)
+        with AnalysisService(cache_size=8, n_workers=1) as service:
+            queued = []
+            service._pool.submit = lambda job, on_enqueue: (on_enqueue(),
+                                                            queued.append(job))
+            pendings = [service.submit(_request(index)) for index in (1, 2)]
+            try:
+                service._process_batch(list(queued))
+            except RuntimeError as error:
+                service._fail_batch(list(queued), error)
+            assert "cl" in pendings[0].result(timeout=10.0)
+            with pytest.raises(ServeError, match="serializer broke"):
+                pendings[1].result(timeout=10.0)
+            snapshot = service.metrics_snapshot()
+            requests = snapshot["requests"]
+            assert (requests["completed"], requests["failed"],
+                    requests["cancelled"]) == (1, 1, 0)
+            assert requests["accounting_drift"] == 0
+            assert (snapshot["cache"]["hits"], snapshot["cache"]["misses"]) == (0, 2)

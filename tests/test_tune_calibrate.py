@@ -104,6 +104,16 @@ class TestWindowReduction:
         assert means.mix.measured_latency_ms == pytest.approx(40.0)
         assert means.mix.cache_hit_fraction == pytest.approx(0.5)
 
+    def test_measured_latency_keeps_batchmate_hits(self):
+        # 100 requests reached a worker and waited 40 ms each; half of
+        # them were answered by a batchmate's solve and count as cache
+        # hits next to 100 admission hits.  The batchmates waited
+        # through the solve, so they stay in the mean.
+        snap = make_snapshot(requests=100, latency_ms=40.0, cache_hits=100)
+        snap["cache"]["hits"] += 50
+        means = fit_stage_means(snap)
+        assert means.mix.measured_latency_ms == pytest.approx(40.0)
+
     def test_request_weighted_mean_batch(self):
         # 10 flushes of 1 and 10 flushes of 8: most *requests* rode the
         # big batches, so the request-weighted mean is well above the
