@@ -55,10 +55,15 @@ from repro.viscous.drag import ViscousAnalysis, analyze_viscous
 AirfoilLike = Union[Airfoil, str]
 
 
+def _designation(airfoil: str) -> str:
+    """The designation :func:`naca` builds for a requested spelling."""
+    return str(airfoil).replace("NACA", "").strip()
+
+
 def _as_airfoil(airfoil: AirfoilLike, n_panels: int) -> Airfoil:
     if isinstance(airfoil, Airfoil):
         return airfoil
-    return naca(str(airfoil).replace("NACA", "").strip(), n_panels)
+    return naca(_designation(airfoil), n_panels)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -364,15 +369,23 @@ class AnalyzeRequest:
         return Freestream.from_degrees(self.alpha_degrees)
 
     def cache_key(self) -> str:
-        """Genome-keyed digest: hashed geometry + flow + solver config.
+        """Digest of what this request computes; builds no geometry.
 
-        Hashing the discretized outline (rather than the designation
-        string) makes equivalent geometries share cache entries however
-        they were spelled, and distinguishes panel counts for free.
+        A designation is keyed by the string :func:`naca` builds and the
+        panel count, so ``"2412"`` and ``"NACA 2412"`` share an entry
+        while ``"0012"`` and ``"0412"`` — equal outlines, differently
+        named bodies — do not.  An :class:`Airfoil` is keyed by its
+        points and its name.  The flow and solver fields follow.
         """
-        foil = self.build_airfoil()
         digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(foil.points, dtype=np.float64).tobytes())
+        if isinstance(self.airfoil, Airfoil):
+            points = np.ascontiguousarray(self.airfoil.points, dtype=np.float64)
+            digest.update(repr(("airfoil", self.airfoil.name,
+                                points.shape)).encode("utf-8"))
+            digest.update(points.tobytes())
+        else:
+            digest.update(repr(("naca", _designation(self.airfoil),
+                                self.n_panels)).encode("utf-8"))
         digest.update(repr((
             self.alpha_degrees,
             self.reynolds,

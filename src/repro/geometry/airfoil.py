@@ -18,6 +18,11 @@ from repro.errors import GeometryError
 from repro.geometry import points as pt
 
 
+def _require_finite(points: np.ndarray) -> None:
+    if not np.isfinite(points).all():
+        raise GeometryError("airfoil points must be finite (no NaN or inf)")
+
+
 @dataclasses.dataclass(frozen=True)
 class Airfoil:
     """A discretized airfoil outline.
@@ -45,11 +50,12 @@ class Airfoil:
         raw = np.asarray(self.points)
         dtype = raw.dtype if np.issubdtype(raw.dtype, np.floating) else np.float64
         points = pt.as_points(raw, dtype=dtype)
+        _require_finite(points)
         if len(points) < 4:
             raise GeometryError(
                 f"an airfoil needs at least 3 panels, got {len(points) - 1}"
             )
-        if not np.allclose(points[0], points[-1], atol=1e-12):
+        if not pt.coincide(points[0], points[-1], atol=1e-12):
             raise GeometryError("airfoil outline must be closed (points[0] == points[-1])")
         if pt.is_clockwise(points):
             raise GeometryError(
@@ -76,10 +82,11 @@ class Airfoil:
         clockwise input, and drops consecutive duplicate points.
         """
         points = pt.as_points(points)
+        _require_finite(points)
         keep = np.ones(len(points), dtype=bool)
         keep[1:] = pt.norms(np.diff(points, axis=0)) > 1e-14
         points = points[keep]
-        if not np.allclose(points[0], points[-1], atol=1e-12):
+        if not pt.coincide(points[0], points[-1], atol=1e-12):
             points = np.vstack([points, points[0]])
         if pt.is_clockwise(points):
             points = points[::-1].copy()
@@ -95,10 +102,10 @@ class Airfoil:
         """
         upper = pt.as_points(upper)
         lower = pt.as_points(lower)
-        if not np.allclose(upper[0], lower[0], atol=1e-9):
+        if not pt.coincide(upper[0], lower[0], atol=1e-9):
             raise GeometryError("upper and lower surfaces must share a leading edge")
         outline = np.vstack([upper[::-1], lower[1:]])
-        if not np.allclose(outline[0], outline[-1], atol=1e-12):
+        if not pt.coincide(outline[0], outline[-1], atol=1e-12):
             outline = np.vstack([outline, outline[0]])
         return cls.from_points(outline, name=name)
 

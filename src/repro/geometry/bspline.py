@@ -74,7 +74,7 @@ def _cached_basis(knot_bytes: bytes, degree: int, parameter_bytes: bytes,
 
 def cox_de_boor(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:
     """The uncached basis of :func:`basis_functions` (float64 inputs)."""
-    if np.any(t < knots[0]) or np.any(t > knots[-1]):
+    if not (np.all(t >= knots[0]) and np.all(t <= knots[-1])):
         raise GeometryError("parameter outside the knot range")
     n_control = len(knots) - degree - 1
     # Degree-0 basis: indicator of the half-open knot span.
@@ -89,17 +89,23 @@ def cox_de_boor(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:
     if np.any(at_end):
         last = np.max(np.nonzero(np.diff(knots) > 0.0))
         basis[at_end, last] = 1.0
-    # Cox–de Boor recursion up to the requested degree.
+    # Cox–de Boor recursion up to the requested degree.  A zero
+    # lower-degree entry contributes exactly zero: it is skipped, not
+    # multiplied, because (t - k_i) / denom overflows to inf on a
+    # subnormal span and inf * 0 is NaN.
     for p in range(1, degree + 1):
         new_basis = np.zeros((len(t), n_basis0 - p))
         for i in range(n_basis0 - p):
             denom_left = knots[i + p] - knots[i]
             denom_right = knots[i + p + 1] - knots[i + 1]
             term = np.zeros(len(t))
+            live = basis[:, i] != 0.0
             if denom_left > 0.0:
-                term += (t - knots[i]) / denom_left * basis[:, i]
+                term[live] += (t[live] - knots[i]) / denom_left * basis[live, i]
+            live = basis[:, i + 1] != 0.0
             if denom_right > 0.0:
-                term += (knots[i + p + 1] - t) / denom_right * basis[:, i + 1]
+                term[live] += ((knots[i + p + 1] - t[live]) / denom_right
+                               * basis[live, i + 1])
             new_basis[:, i] = term
         basis = new_basis
     return basis[:, :n_control]

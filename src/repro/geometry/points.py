@@ -7,6 +7,7 @@ the rest of the code free of axis bookkeeping.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -100,6 +101,21 @@ def midpoints(points: np.ndarray) -> np.ndarray:
     return 0.5 * (points[:-1] + points[1:])
 
 
+def coincide(a: np.ndarray, b: np.ndarray, *, atol: float = 1e-8) -> bool:
+    """``np.allclose(a, b, atol=atol)`` for two points, in scalar arithmetic.
+
+    Each coordinate passes when ``|a - b| <= atol + 1e-5 * |b|`` (NumPy's
+    rule and default ``rtol``) with both finite, or when it is equal;
+    NaN never passes.  Two ``np.allclose`` calls per point pair cost
+    more than the rest of an airfoil build.
+    """
+    def close(u: float, v: float) -> bool:
+        return u == v or abs(u - v) <= atol + 1e-5 * abs(v) < math.inf
+
+    (ax, ay), (bx, by) = np.asarray(a).tolist(), np.asarray(b).tolist()
+    return close(ax, bx) and close(ay, by)
+
+
 def signed_polygon_area(points: np.ndarray) -> float:
     """Signed area of the polygon through *points* (shoelace formula).
 
@@ -109,7 +125,11 @@ def signed_polygon_area(points: np.ndarray) -> float:
     """
     points = as_points(points)
     x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    # np.roll(v, -1) by slicing, at a third of its cost: the same
+    # products in the same order, so the same sum to the bit.
+    y_next = np.concatenate((y[1:], y[:1]))
+    x_next = np.concatenate((x[1:], x[:1]))
+    return 0.5 * float(np.sum(x * y_next - x_next * y))
 
 
 def is_clockwise(points: np.ndarray) -> bool:
@@ -156,7 +176,7 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     """
     points = as_points(points)
     n = len(points) - 1
-    closed = bool(np.allclose(points[0], points[-1]))
+    closed = coincide(points[0], points[-1])
     for i in range(n):
         for j in range(i + 2, n):
             if closed and i == 0 and j == n - 1:

@@ -277,13 +277,17 @@ class AnalysisService:
                               latency_ms=1e3 * (now - lookup_started),
                               trace=trace)
             return pending
+        looked_up = time.monotonic()
+        # A miss builds its geometry here, once: an invalid designation is
+        # refused before admission, and the worker solves this outline.
+        request = dataclasses.replace(request, airfoil=request.build_airfoil())
         now = time.monotonic()
         job = _Job(request=request, key=key, pending=pending, enqueued=now,
                    deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
                    deadline_ms=deadline_ms,
                    request_id=request_id, trace=trace)
         if trace is not None:
-            trace.add_stage(STAGE_CACHE_LOOKUP, lookup_started, now)
+            trace.add_stage(STAGE_CACHE_LOOKUP, lookup_started, looked_up)
         try:
             self._pool.submit(job, on_enqueue=self.metrics.record_admitted)
         except ServeError:

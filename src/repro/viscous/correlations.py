@@ -7,6 +7,8 @@ law, and the shape-factor relations used by Head's entrainment method.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import ViscousError
@@ -39,43 +41,55 @@ def thwaites_h(lam):
     return np.where(clipped >= 0.0, positive, negative)
 
 
-def ludwieg_tillmann_cf(h, re_theta):
+#: Head's correlations are defined once, on Python floats, because
+#: Head's march (:mod:`repro.viscous.head`) evaluates them one station
+#: at a time.  Each public name is the array form NumPy derives from
+#: that definition; the float form is its ``pyfunc``.
+_on_floats = functools.partial(np.vectorize, otypes=[float])
+
+
+@_on_floats
+def ludwieg_tillmann_cf(h: float, re_theta: float) -> float:
     """Turbulent skin-friction coefficient (Ludwieg–Tillmann).
 
     ``cf = 0.246 * 10^(-0.678 H) * Re_theta^(-0.268)``
     """
-    h = np.asarray(h, dtype=np.float64)
-    re_theta = np.asarray(re_theta, dtype=np.float64)
-    if np.any(re_theta <= 0.0):
+    if re_theta <= 0.0:
         raise ViscousError("Re_theta must be positive for Ludwieg-Tillmann")
     return 0.246 * 10.0 ** (-0.678 * h) * re_theta ** (-0.268)
 
 
-def head_h1(h):
+@_on_floats
+def head_h1(h: float) -> float:
     """Head's mass-flow shape factor ``H1(H)`` (Cebeci–Bradshaw fit)."""
-    h = np.asarray(h, dtype=np.float64)
-    low = 3.3 + 0.8234 * np.maximum(h - 1.1, 1e-6) ** (-1.287)
-    high = 3.3 + 1.5501 * np.maximum(h - 0.6778, 1e-6) ** (-3.064)
-    return np.where(h <= 1.6, low, high)
+    if h <= 1.6:
+        return 3.3 + 0.8234 * max(h - 1.1, 1e-6) ** (-1.287)
+    return 3.3 + 1.5501 * max(h - 0.6778, 1e-6) ** (-3.064)
 
 
-def head_h_from_h1(h1):
-    """Invert :func:`head_h1` (the fit's own closed-form inverse)."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    floor = 3.32  # below this the fit has no laminar-plausible inverse
-    h1 = np.maximum(h1, floor)
-    low = 1.1 + (0.8234 / (h1 - 3.3)) ** (1.0 / 1.287)  # branch H <= 1.6
-    high = 0.6778 + (1.5501 / (h1 - 3.3)) ** (1.0 / 3.064)  # branch H > 1.6
-    # The branches meet at H = 1.6 <-> H1 ~ 3.3 + 0.8234*0.5^-1.287;
-    # pick by which branch's H lands in its own validity region.
-    h1_at_16 = 3.3 + 0.8234 * 0.5 ** (-1.287)
-    return np.where(h1 >= h1_at_16, low, high)
+#: Below this ``H1`` the fit has no laminar-plausible inverse.
+_H1_FLOOR = 3.32
+#: The branches of :func:`head_h1` meet at ``H = 1.6``.
+_H1_AT_16 = 3.3 + 0.8234 * 0.5 ** (-1.287)
 
 
-def head_entrainment(h1):
+@_on_floats
+def head_h_from_h1(h1: float) -> float:
+    """Invert :func:`head_h1` (the fit's own closed-form inverse).
+
+    The branch is picked by which one's ``H`` lands in its own validity
+    region: ``H <= 1.6`` above ``H1(1.6)``, ``H > 1.6`` below it.
+    """
+    h1 = max(h1, _H1_FLOOR)
+    if h1 >= _H1_AT_16:
+        return 1.1 + (0.8234 / (h1 - 3.3)) ** (1.0 / 1.287)
+    return 0.6778 + (1.5501 / (h1 - 3.3)) ** (1.0 / 3.064)
+
+
+@_on_floats
+def head_entrainment(h1: float) -> float:
     """Head's entrainment function ``F(H1) = 0.0306 (H1 - 3)^-0.6169``."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    return 0.0306 * np.maximum(h1 - 3.0, 1e-3) ** (-0.6169)
+    return 0.0306 * max(h1 - 3.0, 1e-3) ** (-0.6169)
 
 
 def michel_transition_re_theta(re_s):

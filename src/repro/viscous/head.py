@@ -28,6 +28,12 @@ from repro.viscous.correlations import (
 )
 from repro.viscous.edge_velocity import SurfaceDistribution
 
+# The march steps one station at a time, so it calls the float forms.
+_cf = ludwieg_tillmann_cf.pyfunc
+_h1 = head_h1.pyfunc
+_h_from_h1 = head_h_from_h1.pyfunc
+_entrainment = head_entrainment.pyfunc
+
 #: Shape factor beyond which the turbulent layer is considered separated.
 H_SEPARATION = 2.4
 
@@ -86,58 +92,52 @@ def solve_head(surface: SurfaceDistribution, nu: float, *, start_index: int,
         raise ViscousError(
             f"start_index {start_index} out of range for {len(surface.s)} stations"
         )
-    s = surface.s
-    u = surface.velocity
-    du_ds = np.gradient(u, s)
+    s = surface.s.tolist()
+    u = surface.velocity.tolist()
+    if min(u[start_index:]) <= 0.0:
+        raise ViscousError(
+            f"edge velocity must be positive past station {start_index}"
+        )
+    du_ds = np.gradient(surface.velocity, surface.s).tolist()
+    nu = float(nu)
 
-    n_stations = len(s) - start_index
-    theta = np.empty(n_stations)
-    shape = np.empty(n_stations)
-    cf_arr = np.empty(n_stations)
-    theta[0] = theta_start
-    shape[0] = h_start
+    def rates(i: int, th: float, h: float) -> tuple:
+        """Right-hand sides d(theta)/ds and d(U theta H1)/ds at station i."""
+        ui = u[i]
+        cf = _cf(h, max(ui * th / nu, 1.0))
+        h1 = _h1(h)
+        d_theta = 0.5 * cf - (h + 2.0) * th / ui * du_ds[i]
+        return d_theta, ui * _entrainment(h1), cf, h1
+
+    theta = [float(theta_start)]
+    shape = [float(h_start)]
+    cf_list = []
     separation_index: Optional[int] = None
-
-    def rates(si: float, th: float, h: float) -> tuple:
-        """Right-hand sides d(theta)/ds and d(U theta H1)/ds at arclength si."""
-        ui = np.interp(si, s, u)
-        dui = np.interp(si, s, du_ds)
-        re_theta = max(ui * th / nu, 1.0)
-        cf = float(ludwieg_tillmann_cf(h, re_theta))
-        h1 = float(head_h1(h))
-        d_theta = 0.5 * cf - (h + 2.0) * th / ui * dui
-        d_uth1 = ui * float(head_entrainment(h1))
-        return d_theta, d_uth1, cf, h1
-
-    for j in range(n_stations - 1):
-        i = start_index + j
+    for i in range(start_index, len(s) - 1):
         ds = s[i + 1] - s[i]
-        th, h = theta[j], shape[j]
-        d_theta1, d_uth1_1, cf_here, h1 = rates(s[i], th, h)
-        cf_arr[j] = cf_here
+        th, h = theta[-1], shape[-1]
+        d_theta1, d_uth1_1, cf_here, h1 = rates(i, th, h)
+        cf_list.append(cf_here)
         uth1 = u[i] * th * h1
         # Heun (RK2) step on (theta, U theta H1).
         th_pred = max(th + ds * d_theta1, 1e-12)
         uth1_pred = max(uth1 + ds * d_uth1_1, 1e-12)
-        h1_pred = uth1_pred / (u[i + 1] * th_pred)
-        h_pred = float(head_h_from_h1(h1_pred))
-        d_theta2, d_uth1_2, _, _ = rates(s[i + 1], th_pred, h_pred)
+        h_pred = _h_from_h1(uth1_pred / (u[i + 1] * th_pred))
+        d_theta2, d_uth1_2, _, _ = rates(i + 1, th_pred, h_pred)
         th_new = max(th + 0.5 * ds * (d_theta1 + d_theta2), 1e-12)
         uth1_new = max(uth1 + 0.5 * ds * (d_uth1_1 + d_uth1_2), 1e-12)
-        h1_new = uth1_new / (u[i + 1] * th_new)
-        h_new = float(head_h_from_h1(h1_new))
-        theta[j + 1] = th_new
-        shape[j + 1] = h_new
+        h_new = _h_from_h1(uth1_new / (u[i + 1] * th_new))
+        theta.append(th_new)
+        shape.append(h_new)
         if separation_index is None and h_new > H_SEPARATION:
             separation_index = i + 1
-    re_theta_end = max(u[-1] * theta[-1] / nu, 1.0)
-    cf_arr[-1] = float(ludwieg_tillmann_cf(shape[-1], re_theta_end))
+    cf_list.append(_cf(shape[-1], max(u[-1] * theta[-1] / nu, 1.0)))
 
     return TurbulentResult(
         surface=surface,
         start_index=start_index,
-        theta=theta,
-        shape_factor=shape,
-        cf=cf_arr,
+        theta=np.array(theta),
+        shape_factor=np.array(shape),
+        cf=np.array(cf_list),
         separation_index=separation_index,
     )

@@ -89,6 +89,17 @@ class TestAirfoilConstruction:
         assert rebuilt.chord == pytest.approx(naca2412.chord, rel=1e-6)
         assert rebuilt.area == pytest.approx(naca2412.area, rel=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, naca2412, bad):
+        # A NaN passes the closure, orientation and length checks and
+        # would surface later as NaN coefficients.
+        points = np.array(naca2412.points)
+        points[len(points) // 3, 1] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            Airfoil(points=points)
+        with pytest.raises(GeometryError, match="finite"):
+            Airfoil.from_points(points)
+
     def test_from_surfaces_mismatched_le_raises(self):
         upper = np.array([[0, 0], [0.5, 0.1], [1, 0]], dtype=float)
         lower = np.array([[0.1, 0], [0.5, -0.1], [1, 0]], dtype=float)

@@ -64,6 +64,17 @@ class TestBasis:
         with pytest.raises(GeometryError, match="outside"):
             basis_functions(knots, 3, np.array([1.5]))
 
+    def test_nan_parameter_raises(self):
+        with pytest.raises(GeometryError, match="outside"):
+            cox_de_boor(open_uniform_knots(6, 3), 3, np.array([0.5, np.nan]))
+
+    def test_subnormal_knot_span_stays_finite(self):
+        # (t - k_0) / 1e-310 overflows to inf, and it multiplies a zero
+        # degree-0 entry: inf * 0 would make the hat function NaN.
+        knots = np.array([0.0, 1e-310, 0.5, 1.0])
+        basis = cox_de_boor(knots, 1, np.array([0.25]))
+        assert basis.tolist() == [[0.5, 0.5]]
+
 
 def _outcome(call):
     """``("ok", bytes, shape)`` or ``("raises", type, message)``."""

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import points as pt
+
+#: Coordinates that probe each branch of np.isclose's rule.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-5, 1.00002,
+                     1e-12, 2e-12, 5e-324, 1e308, -1e308]),
+)
 
 
 class TestAsPoints:
@@ -83,6 +92,16 @@ class TestPolyline:
         assert not pt.is_clockwise(self.square)
         assert pt.is_clockwise(self.square[::-1])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                    min_size=0, max_size=40))
+    def test_signed_area_is_the_rolled_shoelace_to_the_bit(self, points):
+        points = pt.as_points(np.array(points, dtype=float).reshape(-1, 2))
+        x, y = points[:, 0], points[:, 1]
+        rolled = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        assert (np.float64(pt.signed_polygon_area(points)).tobytes()
+                == np.float64(rolled).tobytes())
+
     def test_centroid(self):
         assert pt.centroid(np.array([[0.0, 0.0], [2.0, 4.0]])) == pytest.approx([1.0, 2.0])
 
@@ -90,6 +109,21 @@ class TestPolyline:
         low, high = pt.bounding_box(self.square)
         assert low == pytest.approx([0.0, 0.0])
         assert high == pytest.approx([1.0, 1.0])
+
+
+class TestCoincide:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS),
+           st.sampled_from([1e-12, 1e-9, 1e-8]))
+    def test_agrees_with_allclose(self, coords, atol):
+        a, b = np.array(coords[:2]), np.array(coords[2:])
+        with np.errstate(over="ignore"):  # 1e308 - -1e308 in the reference
+            expected = bool(np.allclose(a, b, atol=atol))
+        assert pt.coincide(a, b, atol=atol) is expected
+
+    def test_relative_tolerance_scales_with_the_second_point(self):
+        assert pt.coincide([1e6, 0.0], [1e6 + 5.0, 0.0], atol=1e-12)
+        assert not pt.coincide([1.0, 0.0], [1.0 + 1e-4, 0.0], atol=1e-12)
 
 
 class TestIntersection:

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.api as api
 import repro.serve.service as service_module
-from repro.errors import DeadlineExceededError, OverloadedError, ServeError
+from repro.core.api import AnalyzeRequest, canonical_json, serialize_analysis
+from repro.errors import (
+    DeadlineExceededError,
+    GeometryError,
+    OverloadedError,
+    ServeError,
+)
 from repro.serve import AnalysisService, ResultCache
 from tests.test_serve_lifecycle import _GatedService
 
@@ -291,3 +298,46 @@ class TestOneLookupPerRequest:
                     requests["cancelled"]) == (1, 1, 0)
             assert requests["accounting_drift"] == 0
             assert (snapshot["cache"]["hits"], snapshot["cache"]["misses"]) == (0, 2)
+
+
+class TestKeyWithoutGeometry:
+    """The cache key digests the request, so a hit builds no airfoil and
+    a miss builds its airfoil once, at admission."""
+
+    def test_a_section_with_an_equal_outline_gets_its_own_body(self):
+        # "0012" and "0412" build byte-identical outlines; an outline key
+        # answered the second with the first one's body ("NACA 0012").
+        payload = {"n_panels": 60, "reynolds": None}
+        with AnalysisService() as service:
+            service.analyze({"airfoil": "0012", **payload})
+            body = service.analyze({"airfoil": "0412", **payload})
+        request = AnalyzeRequest(airfoil="0412", **payload)
+        assert (canonical_json(body)
+                == canonical_json(serialize_analysis(request, request.run())))
+        assert body["airfoil"] == "NACA 0412"
+
+    def test_a_miss_builds_once_and_a_hit_builds_nothing(self, monkeypatch):
+        built = []
+        real_naca = api.naca
+
+        def counting_naca(*args, **kwargs):
+            built.append(args)
+            return real_naca(*args, **kwargs)
+
+        monkeypatch.setattr(api, "naca", counting_naca)
+        payload = {"airfoil": "2412", "n_panels": 40, "reynolds": 1e6}
+        with AnalysisService() as service:
+            first = service.analyze(dict(payload))
+            assert len(built) == 1
+            assert service.analyze(dict(payload)) == first
+            assert len(built) == 1
+
+    def test_an_invalid_designation_is_refused_before_admission(self):
+        with AnalysisService() as service:
+            with pytest.raises(GeometryError,
+                               match="unsupported 5-digit camber code '123'"):
+                service.submit({"airfoil": "12345", "n_panels": 40})
+            requests = service.metrics_snapshot()["requests"]
+            stats = service.cache.stats()
+        assert requests["admitted"] == 0 and requests["in_flight"] == 0
+        assert (stats["hits"], stats["misses"]) == (0, 0)

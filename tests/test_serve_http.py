@@ -100,6 +100,20 @@ class TestEndpoints:
         with pytest.raises(ServeError, match="unknown request fields"):
             client.analyze({"airfoil": "2412", "bogus": 1})
 
+    def test_invalid_designation_is_400_before_admission(self, served):
+        service, server, _ = served
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/analyze",
+            data=json.dumps({"airfoil": "12345", "n_panels": 40}).encode(),
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["type"] == "GeometryError"
+        assert body["error"].startswith("unsupported 5-digit camber code '123'")
+        assert service.metrics_snapshot()["requests"]["admitted"] == 0
+
     def test_unknown_path_is_404(self, served):
         _, server, _ = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -4,8 +4,10 @@ JSON serialization."""
 
 import json
 
+import numpy as np
 import pytest
 
+import repro.core.api as api
 from repro.cli import main
 from repro.core.api import (
     MAX_PANELS,
@@ -88,9 +90,35 @@ class TestAnalyzeRequest:
 
 class TestCacheKey:
     def test_keyed_by_geometry_not_spelling(self):
-        # "2412" and "NACA 2412" build identical outlines.
-        assert (AnalyzeRequest(airfoil="2412", n_panels=80).cache_key()
-                == AnalyzeRequest(airfoil="NACA 2412", n_panels=80).cache_key())
+        # Spellings that hand naca() the same designation share a key.
+        key = AnalyzeRequest(airfoil="2412", n_panels=80).cache_key()
+        for spelling in ("NACA 2412", " NACA2412 ", "2412 "):
+            assert AnalyzeRequest(airfoil=spelling, n_panels=80).cache_key() == key
+
+    def test_equal_outlines_of_different_sections_do_not_share(self):
+        # With zero camber the position digit does nothing: "0012" and
+        # "0412" build byte-identical outlines, but their bodies name
+        # different sections.
+        base = AnalyzeRequest(airfoil="0012", n_panels=60, reynolds=None)
+        other = AnalyzeRequest(airfoil="0412", n_panels=60, reynolds=None)
+        assert np.array_equal(base.build_airfoil().points,
+                              other.build_airfoil().points)
+        assert other.cache_key() != base.cache_key()
+
+    def test_key_builds_no_geometry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cache_key built an airfoil")
+
+        monkeypatch.setattr(api, "naca", refuse)
+        assert len(AnalyzeRequest(airfoil="2412").cache_key()) == 64
+
+    def test_airfoil_objects_keyed_by_points_and_name(self, naca0012):
+        def key(foil):
+            return AnalyzeRequest(airfoil=foil, n_panels=60).cache_key()
+
+        assert key(naca0012) == key(naca0012.with_name(naca0012.name))
+        assert key(naca0012.with_name("renamed")) != key(naca0012)
+        assert key(naca("0015", naca0012.n_panels)) != key(naca0012)
 
     @pytest.mark.parametrize("variant", [
         {"alpha_degrees": 1.0},

@@ -181,3 +181,19 @@ class TestHead:
         with pytest.raises(ViscousError):
             solve_head(flat_plate_surface(50), 1e-6, start_index=2,
                        theta_start=0.0)
+
+    def test_vanishing_edge_velocity_is_a_viscous_error(self):
+        s = np.linspace(1e-3, 1.0, 50)
+        stalled = SurfaceDistribution(name="stalled", s=s,
+                                      velocity=np.where(s < 0.5, 1.0, 0.0),
+                                      panel_indices=np.arange(50))
+        with pytest.raises(ViscousError, match="edge velocity"):
+            solve_head(stalled, 1e-6, start_index=2, theta_start=1e-4)
+
+    def test_result_arrays_cover_every_station_from_the_start(self):
+        plate = flat_plate_surface(120)
+        result = solve_head(plate, 1e-6, start_index=7, theta_start=1e-4)
+        for field in (result.theta, result.shape_factor, result.cf):
+            assert isinstance(field, np.ndarray) and field.dtype == np.float64
+            assert len(field) == len(plate.s) - 7
+        assert result.theta[0] == 1e-4 and result.shape_factor[0] == 1.4

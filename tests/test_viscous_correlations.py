@@ -75,6 +75,32 @@ class TestTurbulentCorrelations:
         assert np.all(np.diff(f) < 0)
 
 
+class TestHeadCorrelationForms:
+    """Each Head correlation has one definition, on floats; the public
+    array form applies it element by element."""
+
+    @pytest.mark.parametrize("correlation, arguments", [
+        (ludwieg_tillmann_cf, (np.linspace(1.2, 2.6, 9), np.geomspace(1.0, 1e6, 9))),
+        (head_h1, (np.linspace(1.05, 2.8, 12),)),
+        (head_h_from_h1, (np.linspace(3.0, 12.0, 12),)),
+        (head_entrainment, (np.linspace(2.9, 12.0, 12),)),
+    ])
+    def test_array_form_is_the_float_form_per_element(self, correlation, arguments):
+        values = correlation(*arguments)
+        assert values.dtype == np.float64 and values.shape == arguments[0].shape
+        expected = [correlation.pyfunc(*map(float, point))
+                    for point in zip(*arguments)]
+        assert values.tolist() == expected
+
+    def test_scalar_input_gives_a_float(self):
+        assert isinstance(head_h1.pyfunc(1.4), float)
+        assert float(head_h1(1.4)) == head_h1.pyfunc(1.4)
+
+    def test_nonpositive_re_rejected_inside_an_array(self):
+        with pytest.raises(ViscousError):
+            ludwieg_tillmann_cf(np.array([1.4, 1.4]), np.array([1e3, -1.0]))
+
+
 class TestMichel:
     def test_critical_re_theta_magnitude(self):
         # At Re_x = 1e6 the Michel threshold is near Re_theta ~ 680-700.
