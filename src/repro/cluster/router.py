@@ -5,9 +5,9 @@ processes ("replicas") and exposes the same wire API they do, so a
 client cannot tell a cluster from a single node:
 
 * ``/analyze`` and ``/analyze_batch`` route each request by the *same*
-  genome cache key the replica LRU uses
-  (:meth:`repro.core.api.AnalyzeRequest.cache_key`), so identical
-  geometry always lands on the same replica and the cluster-wide cache
+  cache key the replica LRU uses
+  (:meth:`repro.core.api.AnalyzeRequest.cache_key`, which builds no
+  geometry), so identical requests always land on the same replica and the cluster-wide cache
   hit rate approaches a single node's — that is the whole point of
   consistent hashing here.
 * ``/jobs`` places new optimization jobs on the least-loaded replica
@@ -294,7 +294,7 @@ class ClusterRouter:
 
     @staticmethod
     def _routing_key(payload: dict) -> str:
-        """The replica-affinity key: the genome cache key when the
+        """The replica-affinity key: the request's cache key when the
         payload parses, else its canonical JSON (invalid payloads then
         still route deterministically, and the replica's own validation
         produces the error the caller deserves)."""

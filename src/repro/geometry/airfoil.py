@@ -30,7 +30,7 @@ class Airfoil:
     Parameters
     ----------
     points:
-        ``(n + 1, 2)`` array of outline coordinates with
+        ``(n + 1, 2)`` array of finite outline coordinates with
         ``points[0] == points[-1]`` (closed) and the trailing edge at
         index 0.  Counter-clockwise orientation is required; use
         :meth:`from_points` to normalize arbitrary input.

@@ -1,9 +1,9 @@
-"""Genome-keyed LRU cache of serialized analysis responses.
+"""Request-keyed LRU cache of serialized analysis responses.
 
 Keys come from :meth:`repro.core.api.AnalyzeRequest.cache_key` — a
-digest of the discretized geometry plus the flow and solver
-configuration — so two requests hit the same entry exactly when they
-would compute the same record.  Values are the wire-format response
+digest of the designation and panel count (or an in-process airfoil's
+points and name) plus the flow and solver configuration — so two
+requests share an entry only when they compute the same record.  Values are the wire-format response
 dicts, which are never mutated after insertion.
 
 The counters feed the service's ``/metrics`` endpoint, which exports

@@ -102,7 +102,11 @@ def solve_head(surface: SurfaceDistribution, nu: float, *, start_index: int,
     nu = float(nu)
 
     def rates(i: int, th: float, h: float) -> tuple:
-        """Right-hand sides d(theta)/ds and d(U theta H1)/ds at station i."""
+        """Right-hand sides d(theta)/ds and d(U theta H1)/ds at station i.
+
+        Heun's step needs them only at stations, where interpolating U
+        and dU/ds would return the grid values exactly.
+        """
         ui = u[i]
         cf = _cf(h, max(ui * th / nu, 1.0))
         h1 = _h1(h)
