@@ -106,8 +106,8 @@ def coincide(a: np.ndarray, b: np.ndarray, *, atol: float = 1e-8) -> bool:
 
     Each coordinate passes when ``|a - b| <= atol + 1e-5 * |b|`` (NumPy's
     rule and default ``rtol``) with both finite, or when it is equal;
-    NaN never passes.  Two ``np.allclose`` calls per point pair cost
-    more than the rest of an airfoil build.
+    NaN never passes.  An airfoil build makes four such checks, and
+    ``np.allclose``'s array machinery cost as much as the rest of it.
     """
     def close(u: float, v: float) -> bool:
         return u == v or abs(u - v) <= atol + 1e-5 * abs(v) < math.inf
