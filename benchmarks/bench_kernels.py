@@ -8,9 +8,9 @@ the real (interpreter-bound) throughput of the reproduction — the
 reason the paper's wall-clock numbers are simulated rather than
 measured (see DESIGN.md).
 
-The kernel sweep times the three assembly kernels (``reference``,
-``fused``, ``native`` — see ``docs/kernels.md``) against each other
-across sizes and precisions and writes the machine-readable
+The kernel sweep times the two assembly kernels (``reference`` and
+``fused`` — see ``docs/kernels.md``) against each other across sizes
+and precisions and writes the machine-readable
 ``BENCH_kernels.json`` artifact via :func:`conftest.write_bench_json`,
 honouring ``BENCH_OUTPUT_DIR``.  The fused kernel must beat the
 reference by at least :data:`MIN_FUSED_SPEEDUP` at n=200 double — the
@@ -36,7 +36,6 @@ from repro.panel import (
     Freestream,
     assemble,
     assemble_batch,
-    native_status,
     stream_influence_matrix,
 )
 
@@ -89,15 +88,6 @@ def test_assembly_n200_reference_kernel(benchmark, foil200):
     assert system.matrix.shape == (200, 200)
 
 
-@pytest.mark.skipif(not native_status()["available"],
-                    reason="no C compiler for the native kernel")
-def test_assembly_n200_native_kernel(benchmark, foil200):
-    """The same assembly through the compiled C kernel."""
-    system = benchmark(assemble, foil200, Freestream.from_degrees(2.0),
-                       kernel="native")
-    assert system.matrix.shape == (200, 200)
-
-
 def test_batched_lu_factor_16x100(benchmark, batch_systems):
     """Batched factorization of 16 systems of dimension 100."""
     matrices, _ = batch_systems
@@ -121,8 +111,8 @@ def test_batched_lu_solve_16x100(benchmark, batch_systems):
 def _best_of_interleaved(functions, repeats):
     """Best wall time per function over *repeats* interleaved rounds.
 
-    Timing the contenders round-robin (reference, fused, native,
-    reference, ...) instead of back-to-back blocks means slow drift on
+    Timing the contenders round-robin (reference, fused, reference,
+    ...) instead of back-to-back blocks means slow drift on
     a noisy host (CI neighbours, thermal throttling) hits every kernel
     equally, so the *ratios* the gate asserts on stay stable even when
     the absolute times wobble.  One untimed warmup per function.
@@ -142,15 +132,10 @@ def kernel_sweep(*, smoke=False):
     """Time every (size, dtype, kernel) assembly combination.
 
     Returns the rows plus the fused-over-reference speedups that the
-    CI gate (:func:`check_sweep`) asserts on.  The native kernel rows
-    appear only when a C compiler is available; its absence is
-    recorded in the artifact rather than failing the sweep.
+    CI gate (:func:`check_sweep`) asserts on.
     """
     sizes = SMOKE_SIZES if smoke else SWEEP_SIZES
     repeats = SMOKE_REPEATS if smoke else REPEATS
-    status = native_status()
-    kernels = ["reference", "fused"] + (["native"] if status["available"]
-                                        else [])
     rows = []
     for n in sizes:
         foil = naca("2412", n)
@@ -160,27 +145,21 @@ def kernel_sweep(*, smoke=False):
                 {
                     kernel: (lambda kernel=kernel: stream_influence_matrix(
                         points, foil, dtype=dtype, kernel=kernel))
-                    for kernel in kernels
+                    for kernel in ("reference", "fused")
                 },
                 repeats,
             )
-            row = {"n": n, "dtype": np.dtype(dtype).name,
-                   "seconds": {k: round(t, 6) for k, t in timings.items()},
-                   "fused_speedup": round(
-                       timings["reference"] / max(timings["fused"], 1e-12), 3
-                   )}
-            if "native" in timings:
-                row["native_speedup"] = round(
-                    timings["reference"] / max(timings["native"], 1e-12), 3
-                )
-            rows.append(row)
+            rows.append({
+                "n": n, "dtype": np.dtype(dtype).name,
+                "seconds": {k: round(t, 6) for k, t in timings.items()},
+                "fused_speedup": round(
+                    timings["reference"] / max(timings["fused"], 1e-12), 3
+                ),
+            })
     return {
         "benchmark": "kernels",
         "smoke": smoke,
         "min_fused_speedup": MIN_FUSED_SPEEDUP,
-        "native": {"available": status["available"],
-                   "compiler": status["compiler"],
-                   "reason": status["reason"]},
         "rows": rows,
     }
 

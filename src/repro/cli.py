@@ -66,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print a W/A/L/O stage breakdown of the "
                                   "evaluation to stderr (stdout stays "
                                   "byte-identical, so it composes with --json)")
-    sub_analyze.add_argument("--assembly-kernel",
-                             choices=["reference", "fused", "native"],
-                             default=None,
-                             help="influence-matrix kernel (default: the "
-                                  "REPRO_ASSEMBLY_KERNEL env var, else fused; "
-                                  "see docs/kernels.md)")
 
     sub_serve = subparsers.add_parser(
         "serve", help="run the batched analysis HTTP service"
@@ -119,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="availability/latency objective in (0, 1); "
                                 "burn rate 1.0 = burning exactly the error "
                                 "budget (default 0.99)")
-    sub_serve.add_argument("--assembly-kernel",
-                           choices=["reference", "fused", "native"],
-                           default=None,
-                           help="influence-matrix kernel pinned for every "
-                                "evaluation (default: REPRO_ASSEMBLY_KERNEL, "
-                                "else fused; native compiles a C kernel at "
-                                "startup and falls back to fused if no "
-                                "compiler is available — see docs/kernels.md)")
     sub_serve.add_argument("--jobs-dir", metavar="DIR", default=None,
                            help="enable the durable jobs subsystem, storing "
                                 "journal and checkpoints under DIR; jobs "
@@ -272,7 +258,6 @@ def run_serve(arguments) -> int:
         logger=make_logger(arguments.log_format),
         slo_latency_ms=arguments.slo_latency_ms,
         slo_target=arguments.slo_target,
-        assembly_kernel=arguments.assembly_kernel,
         jobs_dir=arguments.jobs_dir, job_slots=arguments.job_slots,
     )
     server = start_server(service, host=arguments.host, port=arguments.port)
@@ -285,7 +270,6 @@ def run_serve(arguments) -> int:
           f"cache={service.cache.capacity}, workers={arguments.workers}, "
           f"queue_limit={arguments.queue_limit}, "
           f"default_deadline={deadline}, "
-          f"assembly_kernel={service.assembly_kernel}, "
           f"jobs={jobs_info}, "
           f"trace_sample={arguments.trace_sample:g}, "
           f"log_format={arguments.log_format})", flush=True)
@@ -509,8 +493,7 @@ def _analyze_with_timeout(run, timeout: float):
         return pending.result(timeout=None)
 
 
-def _traced_run(request: AnalyzeRequest, stamps: List,
-                kernel=None) -> "object":
+def _traced_run(request: AnalyzeRequest, stamps: List) -> "object":
     """Evaluate *request* while collecting stage stamps into *stamps*.
 
     Each entry is ``(stage, start, end, count)`` straight from the
@@ -522,7 +505,6 @@ def _traced_run(request: AnalyzeRequest, stamps: List,
         [request],
         stage_hook=lambda stage, start, end, count:
             stamps.append((stage, start, end, count)),
-        kernel=kernel,
     )[0]
     if isinstance(result, Exception):
         raise result
@@ -563,14 +545,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 reynolds=reynolds, n_panels=arguments.panels,
             )
             stamps: List = []
-            kernel = arguments.assembly_kernel
             if arguments.trace:
                 import time as time_module
 
-                runner = lambda: _traced_run(request, stamps, kernel)  # noqa: E731
+                runner = lambda: _traced_run(request, stamps)  # noqa: E731
                 run_started = time_module.monotonic()
             else:
-                runner = lambda: request.run(kernel=kernel)  # noqa: E731
+                runner = request.run
             if arguments.timeout is not None:
                 result = _analyze_with_timeout(runner, arguments.timeout)
             else:

@@ -394,13 +394,9 @@ class AnalyzeRequest:
         )).encode("ascii"))
         return digest.hexdigest()
 
-    def run(self, *, kernel=None) -> "AirfoilAnalysis":
-        """Evaluate this request (batched path, stack of one).
-
-        ``kernel`` selects the assembly kernel for this evaluation
-        (``None`` defers to ``REPRO_ASSEMBLY_KERNEL``).
-        """
-        result = evaluate_requests([self], kernel=kernel)[0]
+    def run(self) -> "AirfoilAnalysis":
+        """Evaluate this request (batched path, stack of one)."""
+        result = evaluate_requests([self])[0]
         if isinstance(result, Exception):
             raise result
         return result
@@ -497,7 +493,7 @@ def _solve_members(members, matrices: np.ndarray, rhs: np.ndarray,
     return solved
 
 
-def _assemble_and_solve(requests: Sequence[AnalyzeRequest], kernel) -> tuple:
+def _assemble_and_solve(requests: Sequence[AnalyzeRequest]) -> tuple:
     """Assemble and solve one contiguous run of requests.
 
     Returns ``(results, stamps)``: one entry per request as
@@ -511,7 +507,7 @@ def _assemble_and_solve(requests: Sequence[AnalyzeRequest], kernel) -> tuple:
     for index, request in enumerate(requests):
         try:
             system = assemble(request.build_airfoil(), request.freestream(),
-                              dtype=request.precision.dtype, kernel=kernel)
+                              dtype=request.precision.dtype)
         except ReproError as error:
             results[index] = error
             continue
@@ -545,7 +541,7 @@ def _assemble_and_solve(requests: Sequence[AnalyzeRequest], kernel) -> tuple:
 
 
 def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
-                          stage_hook=None, kernel=None) -> List:
+                          stage_hook=None) -> List:
     """Assemble and solve many requests.
 
     Requests are grouped by system size and dtype; each group is
@@ -555,8 +551,8 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
     (:func:`usable_cores`) would get at least
     :data:`MIN_SYSTEMS_PER_SHARD` requests, the stack is cut into
     contiguous shards (:func:`plan_shards`) solved on a per-call thread
-    pool; numpy's array operations, LAPACK and the ``ctypes`` native
-    kernel release the GIL, so the shards overlap on a multi-core host.
+    pool; numpy's array operations and LAPACK release the GIL, so the
+    shards overlap on a multi-core host.
     LAPACK solves each member on its own with BLAS pinned to one
     thread, so a sharded solve is bit-identical to an unsharded one.
 
@@ -569,10 +565,7 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
     ``stage_hook`` receives ``(stage, start, end, count)`` stamps from
     the calling thread: one ``"assembly"`` and one ``"solve"`` span,
     each the wall-time envelope (:func:`merge_envelope`) of that stage
-    across shards and size groups.  ``kernel`` selects the
-    influence-matrix implementation (``reference`` / ``fused`` /
-    ``native``; ``None`` defers to ``REPRO_ASSEMBLY_KERNEL`` — see
-    ``docs/kernels.md``).
+    across shards and size groups.
 
     Returns one entry per request, in order: a :class:`SolvedSystem` on
     success, or the :class:`ReproError` that request raised.
@@ -580,11 +573,11 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
     requests = list(requests)
     n_shards = min(usable_cores(), len(requests) // MIN_SYSTEMS_PER_SHARD)
     if n_shards <= 1:
-        shards = [_assemble_and_solve(requests, kernel)]
+        shards = [_assemble_and_solve(requests)]
     else:
         with ThreadPoolExecutor(max_workers=n_shards) as pool:
             futures = [
-                pool.submit(_assemble_and_solve, requests[start:stop], kernel)
+                pool.submit(_assemble_and_solve, requests[start:stop])
                 for start, stop in plan_shards(len(requests), n_shards)
             ]
             shards = [future.result() for future in futures]
@@ -602,7 +595,7 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
 
 
 def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
-                      stage_hook=None, kernel=None) -> List:
+                      stage_hook=None) -> List:
     """Evaluate many requests through the stacked assembly/solve path.
 
     The assembly and LAPACK solve run in :func:`solve_request_systems`
@@ -623,8 +616,7 @@ def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
     batchmates).
     """
     requests = list(requests)
-    solved = solve_request_systems(requests, stage_hook=stage_hook,
-                                   kernel=kernel)
+    solved = solve_request_systems(requests, stage_hook=stage_hook)
     results: List = [None] * len(requests)
     post_started = time.monotonic()
     for index, (request, entry) in enumerate(zip(requests, solved)):

@@ -74,6 +74,13 @@ def _cached_basis(knot_bytes: bytes, degree: int, parameter_bytes: bytes,
 
 def cox_de_boor(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:
     """The uncached basis of :func:`basis_functions` (float64 inputs)."""
+    # Non-decreasing with a non-empty span, so knots[-1] > knots[0];
+    # written as negated comparisons so a NaN knot is refused too.
+    if not (np.all(np.diff(knots) >= 0.0) and knots[-1] > knots[0]):
+        raise GeometryError(
+            "knot vector must be non-decreasing with at least one "
+            "non-empty span"
+        )
     if not (np.all(t >= knots[0]) and np.all(t <= knots[-1])):
         raise GeometryError("parameter outside the knot range")
     n_control = len(knots) - degree - 1

@@ -57,13 +57,9 @@ class BatchedGenerationEvaluator:
     """
 
     def __init__(self, evaluator: FitnessEvaluator, *,
-                 stage_hook: Optional[Callable] = None,
-                 kernel: Optional[str] = None) -> None:
+                 stage_hook: Optional[Callable] = None) -> None:
         self.evaluator = evaluator
         self.stage_hook = stage_hook
-        #: Assembly-kernel selection forwarded to the solve path (``None``
-        #: defers to ``REPRO_ASSEMBLY_KERNEL``; see ``docs/kernels.md``).
-        self.kernel = kernel
         # The shared solve path assembles with the Kutta closure in
         # the request's precision; an evaluator configured differently
         # must keep the (equally correct) serial stack-of-one path.
@@ -91,7 +87,7 @@ class BatchedGenerationEvaluator:
         if pending:
             solved = solve_request_systems(
                 [request for _, _, request in pending],
-                stage_hook=self.stage_hook, kernel=self.kernel,
+                stage_hook=self.stage_hook,
             )
             for (index, genome, _request), entry in zip(pending, solved):
                 records[index] = self._classify(genome, entry)

@@ -23,13 +23,7 @@ from repro.panel.influence import (
     stream_influence_matrix,
     velocity_influence,
 )
-from repro.panel.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KERNEL_NAMES,
-    native_status,
-    resolve_kernel,
-)
+from repro.panel.kernels import DEFAULT_KERNEL, KERNEL_NAMES, resolve_kernel
 from repro.panel.hess_smith import (
     HessSmithSolution,
     solve_hess_smith,
@@ -43,9 +37,7 @@ from repro.panel.streamlines import Streamline, trace_streamline, trace_streamli
 __all__ = [
     "ASSEMBLY_FLOPS_PER_ENTRY",
     "DEFAULT_KERNEL",
-    "KERNEL_ENV",
     "KERNEL_NAMES",
-    "native_status",
     "resolve_kernel",
     "Closure",
     "Freestream",

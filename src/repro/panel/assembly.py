@@ -145,8 +145,7 @@ def assemble(airfoil: Airfoil, freestream: Freestream, *,
 
 
 def assemble_batch(airfoils, freestream: Freestream, *,
-                   closure=Closure.KUTTA, dtype=np.float64,
-                   kernel=None) -> tuple:
+                   closure=Closure.KUTTA, dtype=np.float64) -> tuple:
     """Assemble many same-size systems into contiguous stacks.
 
     Returns ``(matrices, rhs, systems)`` where ``matrices`` has shape
@@ -165,7 +164,7 @@ def assemble_batch(airfoils, freestream: Freestream, *,
                 f"got {foil.n_panels} != {n}"
             )
     systems = [
-        assemble(foil, freestream, closure=closure, dtype=dtype, kernel=kernel)
+        assemble(foil, freestream, closure=closure, dtype=dtype)
         for foil in airfoils
     ]
     matrices = np.stack([system.matrix for system in systems])

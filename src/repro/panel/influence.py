@@ -18,12 +18,11 @@ the same integral differentiated analytically.
 This assembly is the paper's "expensive" kernel: per matrix entry the
 formula above costs two logarithms and two ``arctan2`` calls, which is
 why the accelerators beat the CPU at it.  The implementations live in
-:mod:`repro.panel.kernels` — a readable ``reference``, the default
-``fused`` kernel (shares the per-endpoint logarithms between adjacent
-panels and collapses the ``arctan2`` difference into one call via the
-subtended-angle identity), and an opt-in compiled ``native`` kernel —
-selected per call via ``kernel=`` or globally via the
-``REPRO_ASSEMBLY_KERNEL`` environment variable.
+:mod:`repro.panel.kernels` — the ``fused`` kernel every solve uses
+(it shares the per-endpoint logarithms between adjacent panels and
+collapses the ``arctan2`` difference into one call via the
+subtended-angle identity), and the readable ``reference`` kernel that
+tests and benchmarks select with ``kernel="reference"``.
 
 Flop accounting for the hardware model lives in
 :func:`assembly_flops_per_entry`.
@@ -75,10 +74,9 @@ def stream_influence_matrix(points: np.ndarray, airfoil: Airfoil, *,
     The computation is fully vectorized over the ``points x panels``
     grid; *dtype* selects single or double precision (the paper runs
     both) and the computation stays in that dtype end to end.
-    *kernel* picks the implementation (``reference`` / ``fused`` /
-    ``native``; ``None`` defers to ``REPRO_ASSEMBLY_KERNEL``, default
-    ``fused``) — see :mod:`repro.panel.kernels` and ``docs/kernels.md``
-    for the parity guarantees between them.
+    *kernel* picks the implementation (``reference`` / ``fused``;
+    ``None`` means ``fused``) — see :mod:`repro.panel.kernels` and
+    ``docs/kernels.md`` for the parity guarantee between them.
     """
     return kernels.stream_function_for(kernel)(points, airfoil,
                                                np.dtype(dtype))

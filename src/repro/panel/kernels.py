@@ -1,14 +1,14 @@
-"""Influence-coefficient kernels: reference, fused, and native.
+"""Influence-coefficient kernels: reference and fused.
 
 The paper's central measurement is that filling the influence matrix
 dominates CPU time — per entry the closed-form panel integral costs
 two ``log`` and two ``arctan2`` evaluations.  This module implements
-that integral three ways behind one selection knob:
+that integral twice:
 
 ``reference``
     Straight-line NumPy written for readability: one array per named
     subexpression, exactly mirroring the derivation.  It is the
-    *bit-parity oracle* the other kernels are tested against.
+    *bit-parity oracle* the fused kernel is tested against.
 ``fused``
     The default.  Algebraically identical, but it exploits the panel
     structure: panel ``i``'s end point is panel ``i+1``'s start point,
@@ -21,21 +21,6 @@ that integral three ways behind one selection knob:
     kernels ``tobytes()``-identical in both precisions (NumPy ufuncs
     are value-deterministic: the same scalar inputs produce the same
     rounded outputs regardless of array shape or slicing).
-``native``
-    Opt-in C kernel compiled at first use with the host's C compiler
-    and loaded through :mod:`ctypes`; import-time behaviour is
-    stdlib-only and nothing is compiled until the kernel is actually
-    selected.  When no compiler is available (or compilation fails)
-    the kernel silently falls back to ``fused`` and records why in
-    :func:`native_status`.  The C loop streams the shared endpoint
-    terms through the inner loop (the same n+1-log structure as
-    ``fused``) and always computes in ``double``, rounding once to the
-    target dtype on store — so its ``float32`` output matches the
-    double-precision reference rounded to ``float32`` (precision
-    tiering).  Because C ``libm`` and NumPy's vectorized ``log`` /
-    ``arctan2`` may differ in the last ulp, ``native`` is validated
-    within tight tolerances rather than byte equality; see
-    ``docs/kernels.md`` for the exact guarantees.
 
 Both the stream-function and the velocity kernels use the
 **subtended-angle identity**: with ``p_s = <d_s, h>``,
@@ -51,24 +36,16 @@ point on the panel interior ``I = +-0`` and ``p_s p_e < 0``, so the
 identity returns ``+-pi`` exactly as the two-call difference does.  At
 an exact endpoint every argument vanishes and the angle term is zero.
 
-Kernel selection: the ``REPRO_ASSEMBLY_KERNEL`` environment variable
-(``reference`` / ``fused`` / ``native``) supplies the default;
-explicit ``kernel=`` arguments (threaded through
+Every solve assembles with the default.  Only tests and benchmarks
+name a kernel: the ``kernel=`` argument of
 :func:`repro.panel.influence.stream_influence_matrix`,
-:func:`repro.panel.assembly.assemble`, the execution backends, the
-:class:`~repro.serve.service.AnalysisService`, and the ``serve`` /
-``analyze`` CLI flags) take precedence.
+:func:`repro.panel.influence.velocity_influence` and
+:func:`repro.panel.assembly.assemble` selects ``reference`` for
+comparison, and ``None`` means :data:`DEFAULT_KERNEL`.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,31 +53,21 @@ import numpy as np
 from repro.errors import PanelMethodError
 from repro.geometry import points as pt
 
-#: Environment variable selecting the default kernel when no explicit
-#: ``kernel=`` argument is passed.
-KERNEL_ENV = "REPRO_ASSEMBLY_KERNEL"
-
-#: Environment variable overriding the C compiler used for ``native``.
-CC_ENV = "REPRO_NATIVE_CC"
-
-#: Environment variable overriding where the compiled library is cached.
-CACHE_ENV = "REPRO_NATIVE_CACHE"
-
 #: Recognized kernel names, in documentation order.
-KERNEL_NAMES = ("reference", "fused", "native")
+KERNEL_NAMES = ("reference", "fused")
 
-#: The kernel used when neither the argument nor the environment says.
+#: The kernel used when no ``kernel=`` argument is passed.
 DEFAULT_KERNEL = "fused"
 
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
     """Coerce a kernel selection to a validated name.
 
-    ``None`` reads ``REPRO_ASSEMBLY_KERNEL`` (default ``fused``);
-    anything else must be one of :data:`KERNEL_NAMES`.
+    ``None`` means :data:`DEFAULT_KERNEL`; anything else must be one of
+    :data:`KERNEL_NAMES`.
     """
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip() or DEFAULT_KERNEL
+        return DEFAULT_KERNEL
     name = str(kernel).strip().lower()
     if name not in KERNEL_NAMES:
         raise PanelMethodError(
@@ -320,298 +287,17 @@ def _fused_velocity(points: np.ndarray, airfoil, dtype) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Native C kernel (opt-in, compiled at first use)
-# ----------------------------------------------------------------------
-
-_C_SOURCE = r"""
-#include <math.h>
-
-static const double TWO_PI = 6.283185307179586476925286766559;
-
-/* Stream-function influence: out[j*n + i] = F_i(target_j).
- *
- * Streams the shared endpoint terms (d, log r^2) through the inner
- * loop -- n+1 logs per point, one atan2 per entry via the subtended-
- * angle identity.  Always computes in double; `single` selects the
- * store dtype (precision tiering).  `tiny` is the target dtype's
- * smallest normal value, matching the NumPy kernels' degeneracy
- * guards.
- */
-void stream_influence(const double *target, long n_points,
-                      const double *outline, long n_panels,
-                      double tiny, void *out, int single)
-{
-    double *out_d = (double *) out;
-    float *out_f = (float *) out;
-    long i, j;
-    for (j = 0; j < n_points; ++j) {
-        const double px = target[2 * j];
-        const double py = target[2 * j + 1];
-        double dxs = px - outline[0];
-        double dys = py - outline[1];
-        double r_sq = dxs * dxs + dys * dys;
-        double log_s = r_sq >= tiny ? log(r_sq) : 0.0;
-        for (i = 0; i < n_panels; ++i) {
-            const double hx = outline[2 * i + 2] - outline[2 * i];
-            const double hy = outline[2 * i + 3] - outline[2 * i + 1];
-            const double h_sq = hx * hx + hy * hy;
-            const double h_len = sqrt(h_sq);
-            const double safe_len = h_len >= tiny ? h_len : tiny;
-            const double dxe = px - outline[2 * i + 2];
-            const double dye = py - outline[2 * i + 3];
-            const double proj_s = dxs * hx + dys * hy;
-            const double proj_e = dxe * hx + dye * hy;
-            const double cross = dxs * hy - dys * hx;
-            double log_e, delta, bracket;
-            r_sq = dxe * dxe + dye * dye;
-            log_e = r_sq >= tiny ? log(r_sq) : 0.0;
-            delta = atan2(cross * h_sq, proj_s * proj_e + cross * cross);
-            bracket = 0.5 * (proj_s * log_s - proj_e * log_e)
-                      + cross * delta - h_sq;
-            if (single)
-                out_f[j * n_panels + i] = (float) (bracket / (TWO_PI * safe_len));
-            else
-                out_d[j * n_panels + i] = bracket / (TWO_PI * safe_len);
-            dxs = dxe;
-            dys = dye;
-            log_s = log_e;
-        }
-    }
-}
-
-/* Velocity influence: out[(j*n + i)*2 + {0,1}] = V_i(target_j). */
-void velocity_influence(const double *target, long n_points,
-                        const double *outline, long n_panels,
-                        double tiny, void *out, int single)
-{
-    double *out_d = (double *) out;
-    float *out_f = (float *) out;
-    long i, j;
-    for (j = 0; j < n_points; ++j) {
-        const double px = target[2 * j];
-        const double py = target[2 * j + 1];
-        double dxs = px - outline[0];
-        double dys = py - outline[1];
-        double r_sq = dxs * dxs + dys * dys;
-        double log_s = r_sq >= tiny ? log(r_sq) : 0.0;
-        for (i = 0; i < n_panels; ++i) {
-            const double hx = outline[2 * i + 2] - outline[2 * i];
-            const double hy = outline[2 * i + 3] - outline[2 * i + 1];
-            const double h_len = sqrt(hx * hx + hy * hy);
-            const double safe_len = h_len >= tiny ? h_len : tiny;
-            const double tan_x = hx / safe_len;
-            const double tan_y = hy / safe_len;
-            const double nrm_x = -tan_y;   /* inward normal (CCW outline) */
-            const double nrm_y = tan_x;
-            const double dxe = px - outline[2 * i + 2];
-            const double dye = py - outline[2 * i + 3];
-            const double xi_s = dxs * tan_x + dys * tan_y;
-            const double xi_e = dxe * tan_x + dye * tan_y;
-            const double eta = dxs * nrm_x + dys * nrm_y;
-            double log_e, delta, u_t, u_n;
-            long base;
-            r_sq = dxe * dxe + dye * dye;
-            log_e = r_sq >= tiny ? log(r_sq) : 0.0;
-            delta = atan2(eta * safe_len, xi_s * xi_e + eta * eta);
-            u_t = -delta / TWO_PI;
-            u_n = 0.5 * (log_s - log_e) / TWO_PI;
-            base = (j * n_panels + i) * 2;
-            if (single) {
-                out_f[base] = (float) (u_t * tan_x + u_n * nrm_x);
-                out_f[base + 1] = (float) (u_t * tan_y + u_n * nrm_y);
-            } else {
-                out_d[base] = u_t * tan_x + u_n * nrm_x;
-                out_d[base + 1] = u_t * tan_y + u_n * nrm_y;
-            }
-            dxs = dxe;
-            dys = dye;
-            log_s = log_e;
-        }
-    }
-}
-"""
-
-#: Compile flags: keep the arithmetic IEEE-faithful (no contraction,
-#: no unsafe reassociation) so the kernel's numbers are stable across
-#: hosts and compilers.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
-           "-fno-unsafe-math-optimizations")
-
-
-class _NativeState:
-    """Outcome of the one-shot native build: a loaded library or the
-    reason there is none, plus a fallback counter for metrics."""
-
-    __slots__ = ("lib", "path", "compiler", "reason", "fallbacks")
-
-    def __init__(self, lib=None, path=None, compiler=None, reason=None):
-        self.lib = lib
-        self.path = path
-        self.compiler = compiler
-        self.reason = reason
-        self.fallbacks = 0
-
-
-_NATIVE: Optional[_NativeState] = None
-_NATIVE_LOCK = threading.Lock()
-
-
-def _find_compiler() -> Optional[str]:
-    """The C compiler to use, or ``None`` when the host has none."""
-    explicit = os.environ.get(CC_ENV, "").strip()
-    if explicit:
-        return explicit if shutil.which(explicit) else None
-    for candidate in ("cc", "gcc", "clang"):
-        if shutil.which(candidate):
-            return candidate
-    return None
-
-
-def _cache_dir() -> str:
-    configured = os.environ.get(CACHE_ENV, "").strip()
-    if configured:
-        return configured
-    uid = getattr(os, "getuid", lambda: 0)()
-    return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
-
-
-def _build_native() -> _NativeState:
-    """Compile (or reuse) and load the shared library; never raises."""
-    compiler = _find_compiler()
-    if compiler is None:
-        return _NativeState(reason=(
-            "no C compiler found (need cc/gcc/clang on PATH, "
-            f"or set {CC_ENV})"
-        ))
-    digest = hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
-    directory = _cache_dir()
-    lib_path = os.path.join(directory, f"repro_kernels_{digest}.so")
-    try:
-        if not os.path.exists(lib_path):
-            os.makedirs(directory, exist_ok=True)
-            src_path = os.path.join(
-                directory, f"repro_kernels_{digest}_{os.getpid()}.c"
-            )
-            tmp_path = src_path[:-2] + ".so.tmp"
-            with open(src_path, "w") as handle:
-                handle.write(_C_SOURCE)
-            try:
-                completed = subprocess.run(
-                    [compiler, *_CFLAGS, "-o", tmp_path, src_path, "-lm"],
-                    capture_output=True, text=True, timeout=120.0,
-                )
-                if completed.returncode != 0:
-                    detail = (completed.stderr or completed.stdout).strip()
-                    return _NativeState(compiler=compiler, reason=(
-                        f"{compiler} failed ({detail[:200]})"
-                    ))
-                os.replace(tmp_path, lib_path)  # atomic: racers agree
-            finally:
-                for leftover in (src_path, tmp_path):
-                    try:
-                        os.unlink(leftover)
-                    except OSError:
-                        pass
-        lib = ctypes.CDLL(lib_path)
-        for symbol in ("stream_influence", "velocity_influence"):
-            fn = getattr(lib, symbol)
-            fn.restype = None
-            fn.argtypes = [
-                ctypes.c_void_p, ctypes.c_long,
-                ctypes.c_void_p, ctypes.c_long,
-                ctypes.c_double, ctypes.c_void_p, ctypes.c_int,
-            ]
-        return _NativeState(lib=lib, path=lib_path, compiler=compiler)
-    except Exception as error:  # missing toolchain, RO filesystem, ...
-        return _NativeState(compiler=compiler,
-                            reason=f"{type(error).__name__}: {error}")
-
-
-def _ensure_native() -> _NativeState:
-    """Build the native library once per process (thread-safe)."""
-    global _NATIVE
-    if _NATIVE is None:
-        with _NATIVE_LOCK:
-            if _NATIVE is None:
-                _NATIVE = _build_native()
-    return _NATIVE
-
-
-def native_status() -> dict:
-    """JSON-ready introspection of the native kernel.
-
-    Triggers the one-shot compile on first call (the kernel itself
-    would do the same); keys: ``available``, ``library``, ``compiler``,
-    ``reason`` (``None`` when available), ``fallbacks`` (times a
-    ``native`` selection silently ran ``fused`` instead).
-    """
-    state = _ensure_native()
-    return {
-        "available": state.lib is not None,
-        "library": state.path,
-        "compiler": state.compiler,
-        "reason": state.reason,
-        "fallbacks": state.fallbacks,
-    }
-
-
-def _native_call(symbol: str, points, airfoil, dtype, out_shape):
-    """Marshal one native kernel call, or ``None`` to request fallback."""
-    state = _ensure_native()
-    if state.lib is None:
-        state.fallbacks += 1
-        return None
-    dtype = np.dtype(dtype)
-    # Round the inputs to the target dtype first (dtype honesty: the
-    # native kernel must see the same geometry the NumPy kernels see),
-    # then widen exactly to double for the C computation.
-    target = np.ascontiguousarray(pt.as_points(points, dtype=dtype),
-                                  dtype=np.float64)
-    outline = np.ascontiguousarray(np.asarray(airfoil.points, dtype=dtype),
-                                   dtype=np.float64)
-    n_points = target.shape[0]
-    n_panels = outline.shape[0] - 1
-    out = np.empty(out_shape(n_points, n_panels), dtype=dtype)
-    getattr(state.lib, symbol)(
-        target.ctypes.data_as(ctypes.c_void_p), ctypes.c_long(n_points),
-        outline.ctypes.data_as(ctypes.c_void_p), ctypes.c_long(n_panels),
-        ctypes.c_double(float(np.finfo(dtype).tiny)),
-        out.ctypes.data_as(ctypes.c_void_p),
-        ctypes.c_int(1 if dtype == np.float32 else 0),
-    )
-    return out
-
-
-def _native_stream(points: np.ndarray, airfoil, dtype) -> np.ndarray:
-    out = _native_call("stream_influence", points, airfoil, dtype,
-                       lambda m, n: (m, n))
-    if out is None:
-        return _fused_stream(points, airfoil, dtype)
-    return out
-
-
-def _native_velocity(points: np.ndarray, airfoil, dtype) -> np.ndarray:
-    out = _native_call("velocity_influence", points, airfoil, dtype,
-                       lambda m, n: (m, n, 2))
-    if out is None:
-        return _fused_velocity(points, airfoil, dtype)
-    return out
-
-
-# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
 _STREAM_KERNELS = {
     "reference": _reference_stream,
     "fused": _fused_stream,
-    "native": _native_stream,
 }
 
 _VELOCITY_KERNELS = {
     "reference": _reference_velocity,
     "fused": _fused_velocity,
-    "native": _native_velocity,
 }
 
 

@@ -71,8 +71,6 @@ class ServiceMetrics:
         self._solved_systems = 0
         self._batch_sizes: Counter = Counter()
         self._stack_sizes: Counter = Counter()
-        self._n_panels_hist: Counter = Counter()
-        self._precision_hist: Counter = Counter()
         self._latencies: deque = deque(maxlen=int(latency_window))
         # Log-bucketed tail shape with exemplar trace ids — the point
         # quantiles above answer "how slow", this answers "show me one".
@@ -122,12 +120,6 @@ class ServiceMetrics:
         """One admitted request whose submitter detached before delivery."""
         with self._lock:
             self._cancelled += 1
-
-    def record_workload(self, n_panels: int, precision: str) -> None:
-        """One admitted request's problem shape (calibration input)."""
-        with self._lock:
-            self._n_panels_hist[int(n_panels)] += 1
-            self._precision_hist[str(precision)] += 1
 
     def record_flush(self, n_requests: int) -> None:
         """One micro-batch handed to a worker (size = coalesced requests)."""
@@ -214,16 +206,6 @@ class ServiceMetrics:
                     "stack_size_histogram": {
                         str(size): count
                         for size, count in sorted(self._stack_sizes.items())
-                    },
-                },
-                "workload": {
-                    "n_panels_histogram": {
-                        str(size): count
-                        for size, count in sorted(self._n_panels_hist.items())
-                    },
-                    "precision_histogram": {
-                        name: count
-                        for name, count in sorted(self._precision_hist.items())
                     },
                 },
                 "latency_ms": {

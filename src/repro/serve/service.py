@@ -122,13 +122,6 @@ class AnalysisService:
         A :class:`~repro.obs.logging.StructuredLogger` receiving one
         event per request outcome (completed / failed / shed / expired
         / cancelled).  ``None`` logs nothing (the in-process default).
-    assembly_kernel:
-        Influence-matrix kernel the service pins for every evaluation
-        (``"reference"`` / ``"fused"`` / ``"native"``); ``None`` reads
-        ``REPRO_ASSEMBLY_KERNEL`` once at construction (default
-        ``fused``).  The resolved name is exposed in
-        ``metrics_snapshot()["assembly_kernel"]``.  See
-        ``docs/kernels.md``.
     jobs_dir:
         Directory for durable optimization jobs (journal +
         checkpoints); ``None`` (the default) disables the jobs
@@ -150,7 +143,6 @@ class AnalysisService:
                  default_deadline_ms: Optional[float] = None,
                  trace_sample: float = 1.0, trace_ring: int = 256,
                  logger: Optional[StructuredLogger] = None,
-                 assembly_kernel: Optional[str] = None,
                  jobs_dir: Optional[str] = None,
                  job_slots: int = 1,
                  slo_latency_ms: float = 250.0,
@@ -164,12 +156,6 @@ class AnalysisService:
         self.tracer = Tracer(sample_rate=trace_sample, ring_size=trace_ring)
         self.slo = SLOTracker(latency_ms=slo_latency_ms, target=slo_target)
         self.logger = logger if logger is not None else StructuredLogger("off")
-        from repro.panel.kernels import resolve_kernel
-
-        #: The assembly kernel every batch (and job) evaluation uses,
-        #: resolved once so a later env change cannot split the service
-        #: across kernels mid-flight.
-        self.assembly_kernel = resolve_kernel(assembly_kernel)
         self._pool = WorkerPool(
             self._process_batch, max_batch,
             n_workers=n_workers, queue_limit=queue_limit,
@@ -261,8 +247,6 @@ class AnalysisService:
             self.cache.record(True)
             now = time.monotonic()
             self.metrics.record_admitted()
-            self.metrics.record_workload(request.n_panels,
-                                         str(request.precision))
             self.metrics.record_completed(
                 now - lookup_started,
                 trace.trace_id if trace is not None else None,
@@ -298,7 +282,6 @@ class AnalysisService:
                 self.tracer.finish(trace, "shed")
             self._log_request(request_id, "shed", trace=trace)
             raise
-        self.metrics.record_workload(request.n_panels, str(request.precision))
         return pending
 
     def _await(self, pending: PendingResult,
@@ -448,7 +431,6 @@ class AnalysisService:
                     job.trace.add_stage(stage, start, end)
         outcomes = evaluate_requests(
             [job.request for job in representatives], stage_hook=stage_hook,
-            kernel=self.assembly_kernel,
         )
 
         now = time.monotonic()
@@ -557,16 +539,15 @@ class AnalysisService:
         """The ``/metrics`` document: counters, queue depth, cache
         stats, and the live W/A/L/O ``stages`` aggregate (same
         vocabulary — and same ``O = W - L`` identity — as the
-        simulator's tables), plus the assembly kernel and
-        ``blas_threads``: the BLAS thread count solves are pinned to,
-        ``None`` when no OpenBLAS setter was found."""
+        simulator's tables), plus ``blas_threads``: the BLAS thread
+        count solves are pinned to, ``None`` when no OpenBLAS setter was
+        found."""
         snapshot = self.metrics.snapshot(
             queue_depth=self.queue_depth, cache_stats=self.cache.stats()
         )
         snapshot["stages"] = self.tracer.stages_snapshot()
         snapshot["stages_hist_ms"] = self.tracer.stage_histograms.snapshot()
         snapshot["slo"] = self.slo.snapshot()
-        snapshot["assembly_kernel"] = self.assembly_kernel
         snapshot["blas_threads"] = blas_threads()
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.metrics_snapshot()

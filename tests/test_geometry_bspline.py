@@ -68,6 +68,14 @@ class TestBasis:
         with pytest.raises(GeometryError, match="outside"):
             cox_de_boor(open_uniform_knots(6, 3), 3, np.array([0.5, np.nan]))
 
+    def test_knots_without_a_non_empty_span_raise(self):
+        with pytest.raises(GeometryError, match="non-empty span"):
+            basis_functions([0.5, 0.5, 0.5], 1, [0.5])
+
+    def test_decreasing_knots_raise(self):
+        with pytest.raises(GeometryError, match="non-decreasing"):
+            basis_functions([0.0, 1.0, 0.5, 1.0], 1, [1.0])
+
     def test_subnormal_knot_span_stays_finite(self):
         # (t - k_0) / 1e-310 overflows to inf, and it multiplies a zero
         # degree-0 entry: inf * 0 would make the hat function NaN.

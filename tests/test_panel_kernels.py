@@ -1,11 +1,9 @@
 """Kernel selection, bit parity, and degenerate-geometry regressions.
 
 The fused kernel's contract is the strongest one NumPy can offer:
-``tobytes()``-identical to the reference kernel in *both* precisions.
-The native kernel computes in double and rounds once on store, so its
-float64 output is tolerance-checked against the reference and its
-float32 output must sit within 2 ulp of the correctly rounded double
-result (measured: 0 ulp).  See ``docs/kernels.md``.
+``tobytes()``-identical to the reference kernel in *both* precisions,
+on random field points and on every system of the serving request mix.
+See ``docs/kernels.md``.
 """
 
 import numpy as np
@@ -18,24 +16,17 @@ from repro.geometry import naca
 from repro.geometry.airfoil import Airfoil
 from repro.panel import (
     DEFAULT_KERNEL,
-    KERNEL_ENV,
     KERNEL_NAMES,
     Freestream,
     assemble,
-    native_status,
     resolve_kernel,
     stream_influence_matrix,
     velocity_influence,
 )
 from repro.panel import kernels as kernels_module
+from tests.test_analysis_bodies_fixture import request_mix
 
 DTYPES = (np.float64, np.float32)
-
-NATIVE_AVAILABLE = native_status()["available"]
-
-needs_native = pytest.mark.skipif(
-    not NATIVE_AVAILABLE, reason="no C compiler for the native kernel"
-)
 
 
 def field_points(airfoil, seed):
@@ -53,32 +44,9 @@ def field_points(airfoil, seed):
     ])
 
 
-def ulp_distance_f32(a, b):
-    """Units-in-the-last-place distance between float32 arrays.
-
-    Uses the standard lexicographic integer mapping (monotone in the
-    reals, maps -0.0 and +0.0 to the same key).
-    """
-    def key(x):
-        i = np.ascontiguousarray(x, dtype=np.float32).view(np.int32)
-        i = i.astype(np.int64)
-        return np.where(i >= 0, i, np.int64(-2 ** 31) - i)
-
-    return np.abs(key(a) - key(b))
-
-
 class TestResolveKernel:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+    def test_default(self):
         assert resolve_kernel() == DEFAULT_KERNEL == "fused"
-
-    def test_env_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        assert resolve_kernel() == "reference"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        assert resolve_kernel("native") == "native"
 
     def test_spelling_normalized(self):
         assert resolve_kernel("  Fused ") == "fused"
@@ -86,11 +54,6 @@ class TestResolveKernel:
     def test_unknown_rejected(self):
         with pytest.raises(PanelMethodError, match="unknown assembly kernel"):
             resolve_kernel("simd")
-
-    def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(PanelMethodError, match="turbo"):
-            resolve_kernel()
 
     def test_names_cover_dispatch_tables(self):
         assert set(KERNEL_NAMES) == set(kernels_module._STREAM_KERNELS)
@@ -132,96 +95,6 @@ class TestFusedBitParity:
             fused = velocity_influence(points, foil, dtype=dtype,
                                        kernel="fused")
             assert fused.tobytes() == reference.tobytes()
-
-
-@needs_native
-class TestNativeParity:
-    """Native computes in double, rounds once on store."""
-
-    @given(
-        code=st.sampled_from(["0012", "2412", "4408"]),
-        n_panels=st.sampled_from([16, 60]),
-        seed=st.integers(0, 2 ** 31 - 1),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_stream_float64_close(self, code, n_panels, seed):
-        foil = naca(code, n_panels)
-        points = field_points(foil, seed)
-        reference = stream_influence_matrix(points, foil, kernel="reference")
-        native = stream_influence_matrix(points, foil, kernel="native")
-        assert np.allclose(native, reference, rtol=1e-9, atol=1e-12)
-
-    @given(
-        code=st.sampled_from(["0012", "2412", "4408"]),
-        n_panels=st.sampled_from([16, 60]),
-        seed=st.integers(0, 2 ** 31 - 1),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_velocity_float64_close(self, code, n_panels, seed):
-        foil = naca(code, n_panels)
-        points = field_points(foil, seed)
-        reference = velocity_influence(points, foil, kernel="reference")
-        native = velocity_influence(points, foil, kernel="native")
-        assert np.allclose(native, reference, rtol=1e-9, atol=1e-12)
-
-    @given(
-        code=st.sampled_from(["0012", "2412", "4408"]),
-        n_panels=st.sampled_from([16, 60]),
-        seed=st.integers(0, 2 ** 31 - 1),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_stream_float32_within_2ulp_of_rounded_double(self, code,
-                                                          n_panels, seed):
-        foil = naca(code, n_panels)
-        points = field_points(foil, seed)
-        native = stream_influence_matrix(points, foil, dtype=np.float32,
-                                         kernel="native")
-        # The oracle: the float32-rounded geometry (what every float32
-        # kernel sees) evaluated by the reference kernel in float64,
-        # rounded once — the best answer float32 storage can hold.
-        foil32 = Airfoil(points=foil.points.astype(np.float32))
-        points32 = points.astype(np.float32).astype(np.float64)
-        oracle = stream_influence_matrix(
-            points32, foil32, kernel="reference"
-        ).astype(np.float32)
-        assert int(ulp_distance_f32(native, oracle).max()) <= 2
-
-    def test_velocity_float32_within_2ulp(self, naca2412):
-        points = field_points(naca2412, seed=7)
-        native = velocity_influence(points, naca2412, dtype=np.float32,
-                                    kernel="native")
-        foil32 = Airfoil(points=naca2412.points.astype(np.float32))
-        points32 = points.astype(np.float32).astype(np.float64)
-        oracle = velocity_influence(
-            points32, foil32, kernel="reference"
-        ).astype(np.float32)
-        assert int(ulp_distance_f32(native, oracle).max()) <= 2
-
-    def test_status_shape(self):
-        status = native_status()
-        assert status["available"] is True
-        assert status["reason"] is None
-        assert status["library"]
-        assert status["compiler"]
-
-
-class TestNativeFallback:
-    def test_falls_back_to_fused_without_compiler(self, monkeypatch,
-                                                  naca2412):
-        # Force a fresh native probe that cannot find a compiler; the
-        # module-level state is restored afterwards so other tests see
-        # the real library again.
-        monkeypatch.setenv(kernels_module.CC_ENV, "/no/such/compiler-xyz")
-        monkeypatch.setattr(kernels_module, "_NATIVE", None)
-        status = native_status()
-        assert status["available"] is False
-        assert "compiler" in status["reason"]
-        points = naca2412.control_points[:5]
-        native = stream_influence_matrix(points, naca2412, kernel="native")
-        fused = stream_influence_matrix(points, naca2412, kernel="fused")
-        assert native.tobytes() == fused.tobytes()
-        assert native_status()["fallbacks"] >= 1
-        monkeypatch.setattr(kernels_module, "_NATIVE", None)
 
 
 def near_duplicate_airfoil():
@@ -278,7 +151,7 @@ def square_airfoil(dtype=np.float64):
 
 class TestVelocityPrincipalValues:
     """S4: on-panel, endpoint, and shared-endpoint semantics, pinned
-    across both dtypes and all three kernel selections."""
+    across both dtypes and both kernels."""
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -318,20 +191,6 @@ class TestVelocityPrincipalValues:
                                        kernel="reference")
         fused = velocity_influence(points, foil, dtype=dtype, kernel="fused")
         assert fused.tobytes() == reference.tobytes()
-
-    @needs_native
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_edge_points_native_matches(self, dtype):
-        foil = square_airfoil(dtype)
-        points = np.array(
-            [[0.5, 0.0], [0.0, 0.0], [1.0, 1.0], [0.25, 0.0], [1.0, 0.5]],
-            dtype=dtype,
-        )
-        reference = velocity_influence(points, foil, dtype=dtype,
-                                       kernel="reference")
-        native = velocity_influence(points, foil, dtype=dtype,
-                                    kernel="native")
-        assert np.allclose(native, reference, rtol=1e-6, atol=1e-7)
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_airfoil_surface_points_finite_both_dtypes(self, naca2412,
@@ -385,7 +244,7 @@ class TestRhsDtypeHonesty:
 
 
 class TestKernelThreading:
-    """The kernel knob reaches assembly through every public seam."""
+    """``assemble(kernel=...)`` reaches the selected kernel."""
 
     def test_assemble_kernel_parity(self, naca2412):
         freestream = Freestream.from_degrees(2.0)
@@ -394,20 +253,24 @@ class TestKernelThreading:
         assert fused.matrix.tobytes() == reference.matrix.tobytes()
         assert fused.rhs.tobytes() == reference.rhs.tobytes()
 
-    def test_env_default_used_by_assemble(self, naca2412, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "bogus")
-        with pytest.raises(PanelMethodError, match="bogus"):
-            assemble(naca2412, Freestream.from_degrees(2.0))
 
-    def test_solver_results_kernel_independent(self, naca2412, monkeypatch):
-        # solve_airfoil has no kernel parameter of its own; it rides the
-        # env default, which is the seam exercised here.  The fused
-        # kernel is bit-identical at assembly, so lift matches exactly.
-        from repro.panel import solve_airfoil
+class TestServingMixParity:
+    """Every system of the serving request mix assembles to the same
+    bytes on ``reference`` as on the default kernel, so the suite, which
+    solves on the default kernel, also covers what it would check on
+    ``reference``."""
 
-        lifts = {}
-        for kernel in ("reference", "fused"):
-            monkeypatch.setenv(KERNEL_ENV, kernel)
-            lifts[kernel] = solve_airfoil(
-                naca2412, alpha_degrees=4.0).lift_coefficient
-        assert lifts["fused"] == lifts["reference"]
+    def test_reference_and_default_assemble_identical_systems(self):
+        for index, request in enumerate(request_mix()):
+            airfoil = request.build_airfoil()
+            freestream = request.freestream()
+            # Every fourth request also runs in float32: the NACA
+            # sections at index 0 mod 8, the B-splines at 3 mod 8.
+            dtypes = DTYPES if index % 8 in (0, 3) else DTYPES[:1]
+            for dtype in dtypes:
+                default = assemble(airfoil, freestream, dtype=dtype)
+                reference = assemble(airfoil, freestream, dtype=dtype,
+                                     kernel="reference")
+                where = f"request {index} ({airfoil.name}, {np.dtype(dtype)})"
+                assert default.matrix.tobytes() == reference.matrix.tobytes(), where
+                assert default.rhs.tobytes() == reference.rhs.tobytes(), where

@@ -2,7 +2,7 @@
 
 Covers the shard plan, byte-identity of sharded and unsharded solves
 (including a hypothesis property over stack sizes on both sides of the
-cut-off, both precisions, two assembly kernels and mixed panel counts),
+cut-off, both precisions and mixed panel counts),
 the single wall-time envelope per stage, and failure isolation: a
 singular system fails only its own request, and the GA's batched
 evaluator still returns the serial record for every genome.
@@ -155,11 +155,10 @@ class TestByteIdentity:
                          st.floats(-5.0, 8.0, allow_nan=False)),
                min_size=1, max_size=13),
            precision=st.sampled_from(["single", "double"]),
-           kernel=st.sampled_from(["fused", "reference"]),
            cores=st.sampled_from([2, 3]))
     @settings(max_examples=30, deadline=None)
     def test_property_sharded_matches_unsharded(self, stack, precision,
-                                                kernel, cores):
+                                                cores):
         """For any stack, sharded or not, mixed panel counts included,
         ``gamma`` and ``constant`` are byte-identical."""
         requests = [AnalyzeRequest(airfoil="2412", alpha_degrees=alpha,
@@ -167,8 +166,8 @@ class TestByteIdentity:
                                    reynolds=None)
                     for n_panels, alpha in stack]
         assert_same_bits(
-            with_cores(1, solve_request_systems, requests, kernel=kernel),
-            with_cores(cores, solve_request_systems, requests, kernel=kernel),
+            with_cores(1, solve_request_systems, requests),
+            with_cores(cores, solve_request_systems, requests),
         )
 
     def test_stage_hook_emits_one_envelope_per_stage(self):

@@ -457,55 +457,19 @@ class TestCLILifecycleFlags:
 
 
 # ----------------------------------------------------------------------
-# Assembly-kernel selection through the service
+# Single precision through the service
 # ----------------------------------------------------------------------
 
-class TestAssemblyKernelSelection:
+class TestSinglePrecision:
     PAYLOAD = {"airfoil": "2412", "alpha_degrees": 4.0, "reynolds": None,
                "n_panels": 60}
 
-    def _analyze(self, kernel, payload=None):
-        with AnalysisService(max_batch=4, cache_size=8,
-                             n_workers=1, queue_limit=16,
-                             assembly_kernel=kernel) as service:
-            result = service.analyze(dict(payload or self.PAYLOAD),
-                                     timeout=30.0)
-            snapshot = service.metrics_snapshot()
-        return result, snapshot
-
-    def test_kernel_resolved_and_reported_in_metrics(self, monkeypatch):
-        from repro.panel import KERNEL_ENV
-
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        _, snapshot = self._analyze("reference")
-        assert snapshot["assembly_kernel"] == "reference"
-        _, default_snapshot = self._analyze(None)
-        assert default_snapshot["assembly_kernel"] == "fused"
-
-    def test_env_default_resolved_at_construction(self, monkeypatch):
-        from repro.panel import KERNEL_ENV
-
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        service = AnalysisService(max_batch=4, cache_size=8,
-                                  n_workers=1, queue_limit=16)
-        assert service.assembly_kernel == "reference"
-
-    def test_fused_and_reference_serve_identical_results(self):
-        fused, _ = self._analyze("fused")
-        reference, _ = self._analyze("reference")
-        assert fused == reference
-
     def test_single_precision_end_to_end(self):
-        payload = dict(self.PAYLOAD, precision="single")
-        fused, _ = self._analyze("fused", payload)
-        reference, _ = self._analyze("reference", payload)
-        assert fused == reference
-        double, _ = self._analyze("fused")
-        assert fused["cl"] == pytest.approx(double["cl"], rel=1e-4)
-        assert fused["cl"] != double["cl"]
-
-    def test_unknown_kernel_rejected_at_construction(self):
-        from repro.errors import PanelMethodError
-
-        with pytest.raises(PanelMethodError, match="unknown assembly kernel"):
-            AnalysisService(assembly_kernel="warp")
+        with AnalysisService(max_batch=4, cache_size=8,
+                             n_workers=1, queue_limit=16) as service:
+            single = service.analyze(dict(self.PAYLOAD, precision="single"),
+                                     timeout=30.0)
+            double = service.analyze(dict(self.PAYLOAD), timeout=30.0)
+        assert single["precision"] == "single"
+        assert single["cl"] == pytest.approx(double["cl"], rel=1e-4)
+        assert single["cl"] != double["cl"]
