@@ -49,7 +49,7 @@ REPEATS = 7
 SMOKE_REPEATS = 5
 
 #: CI acceptance gate: fused over reference at n=200 double.
-MIN_FUSED_SPEEDUP = 1.3
+MIN_FUSED_SPEEDUP = 2.0
 
 #: Default artifact filename (see ``conftest.write_bench_json``).
 OUTPUT_FILENAME = "BENCH_kernels.json"

@@ -242,8 +242,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _serve_until_stopped(server, banner: str, message: str) -> None:
+    """Print *banner*, then block until *server* exits or SIGINT or
+    SIGTERM arrives, and print *message* on a signal.
+
+    SIGTERM takes the same path as Ctrl-C, so a process manager's stop
+    drains the server like an interactive one does.  Its handler is in
+    place before the banner is printed, so a caller that waits for the
+    banner may send SIGTERM at once; it is removed after the wait, so a
+    second SIGTERM during the drain takes its previous action.  SIGINT
+    is left as inherited: a server started in the background by a
+    shell keeps ignoring it.
+    """
+    import signal
+
+    def stop(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        print(banner, flush=True)
+        while not server.wait(3600.0):
+            pass
+    except KeyboardInterrupt:
+        print(f"\n{message}", flush=True)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def run_serve(arguments) -> int:
-    """The ``serve`` command: start the service and block until SIGINT."""
+    """The ``serve`` command: start the service and block until SIGINT
+    or SIGTERM, then drain."""
     from repro.obs.logging import make_logger
     from repro.serve import MAX_BATCH_CEILING, AnalysisService, start_server
 
@@ -265,19 +294,17 @@ def run_serve(arguments) -> int:
                 else f"{service.default_deadline_ms:g} ms")
     jobs_info = ("off" if service.jobs is None
                  else f"{arguments.jobs_dir} x{arguments.job_slots}")
-    print(f"repro serve listening on http://{arguments.host}:{server.port}  "
-          f"(max_batch={service.max_batch}, "
-          f"cache={service.cache.capacity}, workers={arguments.workers}, "
-          f"queue_limit={arguments.queue_limit}, "
-          f"default_deadline={deadline}, "
-          f"jobs={jobs_info}, "
-          f"trace_sample={arguments.trace_sample:g}, "
-          f"log_format={arguments.log_format})", flush=True)
+    banner = (f"repro serve listening on "
+              f"http://{arguments.host}:{server.port}  "
+              f"(max_batch={service.max_batch}, "
+              f"cache={service.cache.capacity}, workers={arguments.workers}, "
+              f"queue_limit={arguments.queue_limit}, "
+              f"default_deadline={deadline}, "
+              f"jobs={jobs_info}, "
+              f"trace_sample={arguments.trace_sample:g}, "
+              f"log_format={arguments.log_format})")
     try:
-        while not server.wait(3600.0):
-            pass
-    except KeyboardInterrupt:
-        print("\ndraining...", flush=True)
+        _serve_until_stopped(server, banner, "draining...")
     finally:
         server.stop()
         drained = service.close()
@@ -372,20 +399,17 @@ def run_cluster(arguments) -> int:
     server = start_cluster_server(router, host=arguments.host,
                                   port=arguments.port)
     names = ",".join(sorted(router.replicas))
-    print(f"repro cluster router listening on "
-          f"http://{arguments.host}:{server.port}  "
-          f"(replicas=[{names}], vnodes={vnodes}, "
-          f"health_interval={arguments.health_interval_ms:g} ms, "
-          f"down_after={arguments.down_after}, "
-          f"state_dir={arguments.state_dir or 'none'}, "
-          f"trace_sample={arguments.trace_sample:g}, "
-          f"slo={arguments.slo_latency_ms:g}ms@{arguments.slo_target:g}, "
-          f"log_format={arguments.log_format})", flush=True)
+    banner = (f"repro cluster router listening on "
+              f"http://{arguments.host}:{server.port}  "
+              f"(replicas=[{names}], vnodes={vnodes}, "
+              f"health_interval={arguments.health_interval_ms:g} ms, "
+              f"down_after={arguments.down_after}, "
+              f"state_dir={arguments.state_dir or 'none'}, "
+              f"trace_sample={arguments.trace_sample:g}, "
+              f"slo={arguments.slo_latency_ms:g}ms@{arguments.slo_target:g}, "
+              f"log_format={arguments.log_format})")
     try:
-        while not server.wait(3600.0):
-            pass
-    except KeyboardInterrupt:
-        print("\nstopping router...", flush=True)
+        _serve_until_stopped(server, banner, "stopping router...")
     finally:
         server.stop()
         router.close()
@@ -467,6 +491,7 @@ def _analyze_with_timeout(run, timeout: float):
     indefinitely on a pathological input.
     """
     import threading
+    import time
 
     from repro.errors import DeadlineExceededError, ServeError
     from repro.serve.workers import PendingResult
@@ -474,23 +499,36 @@ def _analyze_with_timeout(run, timeout: float):
     if not timeout > 0.0:
         raise ServeError(f"--timeout must be positive, got {timeout}")
     pending = PendingResult()
+    started = time.monotonic()
+    took: List[float] = []
 
     def work() -> None:
         try:
-            pending.resolve(run())
+            value = run()
         except BaseException as error:
             pending.fail(error)
+            return
+        took.append(time.monotonic() - started)
+        pending.resolve(value)
+
+    def late() -> DeadlineExceededError:
+        return DeadlineExceededError(
+            f"analysis did not finish within --timeout={timeout:g}s")
 
     threading.Thread(target=work, name="repro-analyze", daemon=True).start()
     try:
-        return pending.result(timeout=timeout)
+        value = pending.result(timeout=timeout)
     except ServeError:
         if pending.cancel():
-            raise DeadlineExceededError(
-                f"analysis did not finish within --timeout={timeout:g}s"
-            )
-        # Finished in the race window: surface the real outcome.
-        return pending.result(timeout=None)
+            raise late()
+        # Done in the race window; a failure surfaces here.
+        value = pending.result(timeout=None)
+    # The waiter may get the GIL back only after the analysis is done,
+    # so the budget is judged by when the analysis finished, not by
+    # when the waiter woke.
+    if took[0] > timeout:
+        raise late()
+    return value
 
 
 def _traced_run(request: AnalyzeRequest, stamps: List) -> "object":

@@ -190,11 +190,14 @@ REQUEST_FIELDS = (
     "airfoil", "alpha_degrees", "reynolds", "n_panels", "precision", "use_head",
 )
 
-#: Largest ``n_panels`` a request may ask for.  Assembly builds an
-#: ``(n, n + 1, 2)`` float64 intermediate, 16·n² bytes, so this cap
-#: holds one request's to 16 MiB and the stacked ``n x n`` systems of
-#: a full 64-request micro-batch to 0.5 GiB.  The paper's systems have
-#: 200 panels.
+#: Largest ``n_panels`` a request may ask for.  The assembly kernel
+#: works in row tiles of 64 KiB planes, so its scratch does not grow
+#: with n (0.7 MiB at this cap); what grows are the ``n x n`` arrays
+#: of 8·n² bytes each in float64: the influence matrix, the closed
+#: system, its stacked copy and LAPACK's working copy.  At this cap one
+#: request raises peak RSS by about 35 MiB, and the stacked systems of
+#: a full 64-request micro-batch take 0.5 GiB.  The paper's systems
+#: have 200 panels.
 MAX_PANELS = 1024
 
 

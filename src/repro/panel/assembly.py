@@ -96,8 +96,9 @@ class PanelSystem:
 def influence_matrix(airfoil: Airfoil, *, dtype=np.float64,
                      kernel=None) -> np.ndarray:
     """The ``A_ji = -F_i(x_{j+1/2})`` matrix at the control points."""
-    return -stream_influence_matrix(airfoil.control_points, airfoil,
-                                    dtype=dtype, kernel=kernel)
+    a = stream_influence_matrix(airfoil.control_points, airfoil,
+                                dtype=dtype, kernel=kernel)
+    return np.negative(a, out=a)
 
 
 def assemble(airfoil: Airfoil, freestream: Freestream, *,

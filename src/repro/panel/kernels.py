@@ -15,12 +15,16 @@ that integral twice:
     so the per-endpoint ``log |x - x_k|^2`` terms are computed once on
     the ``(points, n+1)`` endpoint grid and sliced twice (n+1 logs
     instead of 2n), and the two ``arctan2`` of the reference collapse
-    into one via the subtended-angle identity (below).  Intermediate
-    buffers are reused in place.  The elementwise operation sequence is
-    kept identical to ``reference``, which is what makes the two
-    kernels ``tobytes()``-identical in both precisions (NumPy ufuncs
-    are value-deterministic: the same scalar inputs produce the same
-    rounded outputs regardless of array shape or slicing).
+    into one via the subtended-angle identity (below).  The grid is
+    walked in row tiles of :data:`TILE_BYTES` per plane, with the
+    endpoint offsets held as contiguous ``dx`` and ``dy`` planes and
+    every tile reusing the same few scratch planes, so a call touches
+    a cache-sized working set instead of full-grid temporaries.  The
+    elementwise operation sequence is kept identical to ``reference``,
+    which is what makes the two kernels ``tobytes()``-identical in both
+    precisions (NumPy ufuncs are value-deterministic: the same scalar
+    inputs produce the same rounded outputs regardless of array shape
+    or slicing).
 
 Both the stream-function and the velocity kernels use the
 **subtended-angle identity**: with ``p_s = <d_s, h>``,
@@ -89,7 +93,8 @@ def degenerate_floor(dtype) -> np.floating:
     return np.finfo(dtype).tiny.astype(dtype)
 
 
-def safe_log_sq(r_sq: np.ndarray, dtype) -> np.ndarray:
+def safe_log_sq(r_sq: np.ndarray, dtype,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """``log(r^2)`` with the convention ``0 * log(0) = 0``.
 
     At a panel endpoint the prefactor ``<x - x_k, h>`` vanishes, so
@@ -100,9 +105,16 @@ def safe_log_sq(r_sq: np.ndarray, dtype) -> np.ndarray:
     the huge-magnitude logarithm would otherwise poison the float32
     path (near-duplicate outline points collapse to exact duplicates
     when cast to single precision).
+
+    *out*, when given, is a buffer of ``r_sq``'s shape and dtype that
+    receives the result; it is zeroed first, so an entry the guard
+    masks off never keeps the buffer's previous value.
     """
-    out = np.zeros_like(r_sq)
     positive = r_sq >= degenerate_floor(r_sq.dtype)
+    if out is None:
+        out = np.zeros_like(r_sq)
+    else:
+        out.fill(0)
     np.log(r_sq, where=positive, out=out)
     return out.astype(dtype, copy=False)
 
@@ -210,47 +222,91 @@ def _reference_velocity(points: np.ndarray, airfoil, dtype) -> np.ndarray:
 # Fused NumPy kernels (the default)
 # ----------------------------------------------------------------------
 
+#: Bytes in one tile plane.  The fused kernels walk the target points in
+#: row tiles whose ``(rows, n+1)`` planes hold about this many bytes, so a
+#: tile's working set stays in L2 and every plane stays well under
+#: glibc's default 128 KiB mmap threshold: the scratch comes from heap
+#: memory the previous call freed, not from freshly faulted pages.
+TILE_BYTES = 64 * 1024
+
+
+def _endpoint_tiles(target: np.ndarray, outline: np.ndarray):
+    """Walk the ``(points, n+1)`` endpoint grid one row tile at a time.
+
+    Yields ``(rows, dx, dy, log_r_sq, scratch)`` per tile: ``rows`` is
+    the slice of *target* the tile covers, ``dx`` and ``dy`` are the
+    contiguous ``(m, n+1)`` planes of ``x - x_k`` for every outline point
+    ``x_k``, ``log_r_sq`` is their guarded ``log |x - x_k|^2``, and
+    ``scratch`` holds five ``(m, n)`` planes for the caller to
+    overwrite.  The planes are allocated once per call, one allocation
+    each, and overwritten tile after tile, so nothing yielded outlives
+    the next step of the walk.
+    """
+    dtype = outline.dtype
+    n_points, width = len(target), len(outline)
+    step = max(1, min(n_points, TILE_BYTES // (width * dtype.itemsize)))
+    dx_plane, dy_plane, r_sq_plane, log_plane = (
+        np.empty((step, width), dtype) for _ in range(4))
+    panel = [np.empty((step, width - 1), dtype) for _ in range(5)]
+    ox, oy = np.ascontiguousarray(outline.T)
+    for start in range(0, n_points, step):
+        rows = slice(start, min(start + step, n_points))
+        m = rows.stop - start
+        dx, dy, r_sq, log_r = (dx_plane[:m], dy_plane[:m], r_sq_plane[:m],
+                               log_plane[:m])
+        np.subtract(target[rows, 0, None], ox, out=dx)
+        np.subtract(target[rows, 1, None], oy, out=dy)
+        np.multiply(dx, dx, out=r_sq)
+        np.multiply(dy, dy, out=log_r)
+        r_sq += log_r
+        safe_log_sq(r_sq, dtype, out=log_r)
+        yield rows, dx, dy, log_r, [plane[:m] for plane in panel]
+
+
 def _fused_stream(points: np.ndarray, airfoil, dtype) -> np.ndarray:
-    """Endpoint-sharing, buffer-reusing twin of :func:`_reference_stream`."""
+    """Endpoint-sharing, row-tiled twin of :func:`_reference_stream`."""
     target = pt.as_points(points, dtype=dtype)
     outline = np.asarray(airfoil.points, dtype=dtype)
     h = outline[1:] - outline[:-1]
     h_len_sq = pt.dot(h, h)
     h_len = np.sqrt(h_len_sq)
     safe_len = np.maximum(h_len, degenerate_floor(dtype))
-
-    # One (points, n+1) endpoint grid: panel i's end is panel i+1's
-    # start, so every log is computed once and sliced twice.
-    d = target[:, None, :] - outline[None, :, :]
-    dx = d[..., 0]
-    dy = d[..., 1]
-    r_sq = dx * dx + dy * dy
-    log_r = safe_log_sq(r_sq, dtype)
-
-    dxs, dys = dx[:, :-1], dy[:, :-1]
-    dxe, dye = dx[:, 1:], dy[:, 1:]
-    hx, hy = h[:, 0], h[:, 1]
-    proj_start = dxs * hx + dys * hy
-    proj_end = dxe * hx + dye * hy
-    normal = dxs * hy + dys * (-hx)  # <d_start, h_perp>, h_perp=(hy,-hx)
-
-    delta = np.arctan2(normal * h_len_sq,
-                       proj_start * proj_end + normal * normal)
-
-    # In-place chain replaying the reference's elementwise op order:
-    # 0.5*(ps*ls - pe*le) + I*delta - |h|^2.
-    bracket = proj_start * log_r[:, :-1]
-    bracket -= proj_end * log_r[:, 1:]
-    bracket *= 0.5
-    bracket += normal * delta
-    bracket -= h_len_sq
+    hx, hy = np.ascontiguousarray(h.T)
+    minus_hx = -hx  # h_perp = (hy, -hx)
     two_pi = np.asarray(2.0 * np.pi, dtype=dtype)
-    bracket /= two_pi * safe_len[None, :]
-    return bracket.astype(dtype, copy=False)
+    scale = two_pi * safe_len
+
+    out = np.empty((len(target), len(h)), dtype=dtype)
+    for rows, dx, dy, log_r, scratch in _endpoint_tiles(target, outline):
+        proj_start, proj_end, normal, a, b = scratch
+        dxs, dys, dxe, dye = dx[:, :-1], dy[:, :-1], dx[:, 1:], dy[:, 1:]
+        np.multiply(dxs, hx, out=proj_start)
+        proj_start += np.multiply(dys, hy, out=a)
+        np.multiply(dxe, hx, out=proj_end)
+        proj_end += np.multiply(dye, hy, out=a)
+        np.multiply(dxs, hy, out=normal)
+        normal += np.multiply(dys, minus_hx, out=a)
+
+        # The reference's elementwise order, with the arctan2 arguments
+        # taken before proj_start and proj_end turn into the bracket:
+        # 0.5*(ps*ls - pe*le) + I*delta - |h|^2,
+        # delta = arctan2(I*|h|^2, ps*pe + I*I).
+        np.multiply(proj_start, proj_end, out=a)
+        a += np.multiply(normal, normal, out=b)
+        np.multiply(normal, h_len_sq, out=b)
+        proj_start *= log_r[:, :-1]
+        proj_end *= log_r[:, 1:]
+        proj_start -= proj_end
+        proj_start *= 0.5
+        delta = np.arctan2(b, a, out=proj_end)
+        proj_start += np.multiply(normal, delta, out=a)
+        proj_start -= h_len_sq
+        np.divide(proj_start, scale, out=out[rows])
+    return out
 
 
 def _fused_velocity(points: np.ndarray, airfoil, dtype) -> np.ndarray:
-    """Endpoint-sharing twin of :func:`_reference_velocity`."""
+    """Endpoint-sharing, row-tiled twin of :func:`_reference_velocity`."""
     target = pt.as_points(points, dtype=dtype)
     outline = np.asarray(airfoil.points, dtype=dtype)
     h = outline[1:] - outline[:-1]
@@ -258,32 +314,37 @@ def _fused_velocity(points: np.ndarray, airfoil, dtype) -> np.ndarray:
     safe_len = np.maximum(h_len, degenerate_floor(dtype))
     tangent = h / safe_len[:, None]
     normal_dir = -pt.perpendicular(tangent)
-
-    d = target[:, None, :] - outline[None, :, :]
-    dx = d[..., 0]
-    dy = d[..., 1]
-    r_sq = dx * dx + dy * dy
-    log_r = safe_log_sq(r_sq, dtype)
-
-    dxs, dys = dx[:, :-1], dy[:, :-1]
-    dxe, dye = dx[:, 1:], dy[:, 1:]
-    tx, ty = tangent[:, 0], tangent[:, 1]
-    nx, ny = normal_dir[:, 0], normal_dir[:, 1]
-    xi_start = dxs * tx + dys * ty
-    xi_end = dxe * tx + dye * ty
-    eta = dxs * nx + dys * ny
-
-    log_ratio = 0.5 * (log_r[:, :-1] - log_r[:, 1:])
-    delta = np.arctan2(eta * safe_len, xi_start * xi_end + eta * eta)
-
+    tx, ty = np.ascontiguousarray(tangent.T)
+    nx, ny = np.ascontiguousarray(normal_dir.T)
     two_pi = np.asarray(2.0 * np.pi, dtype=dtype)
-    u_tangential = -delta / two_pi
-    u_normal = log_ratio / two_pi
-    velocity = (
-        u_tangential[..., None] * tangent[None, :, :]
-        + u_normal[..., None] * normal_dir[None, :, :]
-    )
-    return velocity.astype(dtype, copy=False)
+
+    out = np.empty((len(target), len(h), 2), dtype=dtype)
+    for rows, dx, dy, log_r, scratch in _endpoint_tiles(target, outline):
+        xi_start, xi_end, eta, a, b = scratch
+        dxs, dys, dxe, dye = dx[:, :-1], dy[:, :-1], dx[:, 1:], dy[:, 1:]
+        np.multiply(dxs, tx, out=xi_start)
+        xi_start += np.multiply(dys, ty, out=a)
+        np.multiply(dxe, tx, out=xi_end)
+        xi_end += np.multiply(dye, ty, out=a)
+        np.multiply(dxs, nx, out=eta)
+        eta += np.multiply(dys, ny, out=a)
+
+        # delta = arctan2(eta*|h|, xi_s*xi_e + eta*eta); the tangential
+        # part is -delta / 2pi and the normal part 0.5*(ls - le) / 2pi.
+        xi_start *= xi_end
+        xi_start += np.multiply(eta, eta, out=a)
+        np.multiply(eta, safe_len, out=a)
+        u_tangential = np.arctan2(a, xi_start, out=b)
+        np.negative(u_tangential, out=u_tangential)
+        u_tangential /= two_pi
+        u_normal = np.subtract(log_r[:, :-1], log_r[:, 1:], out=a)
+        u_normal *= 0.5
+        u_normal /= two_pi
+        for axis, (t_axis, n_axis) in enumerate(((tx, nx), (ty, ny))):
+            np.add(np.multiply(u_tangential, t_axis, out=xi_start),
+                   np.multiply(u_normal, n_axis, out=xi_end),
+                   out=out[rows, :, axis])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,18 @@ SPEC = {"seed": 7, "checkpoint_every": 2,
         "fitness": {"n_panels": 60}}
 
 
-def reference_history():
+#: The SIGKILL test's job: long enough to still be running when its
+#: first checkpoint appears and the server is killed.  With 4
+#: generations the last two often finished in the 20 ms between polls
+#: (at the untiled kernel too), so the restart found the job DONE.
+CRASH_SPEC = dict(SPEC, ga=dict(SPEC["ga"], generations=16))
+
+
+def reference_history(spec=SPEC):
     from repro.jobs import JobSpec, history_to_dict
     from repro.optimize import GeneticOptimizer
 
-    spec = JobSpec.from_dict(SPEC)
+    spec = JobSpec.from_dict(spec)
     history = GeneticOptimizer(
         evaluator=spec.fitness_evaluator(), config=spec.ga_config(),
     ).run(np.random.default_rng(spec.seed))
@@ -233,9 +240,9 @@ class TestCrashRecovery:
         try:
             client = ServeClient(port=port)
             client.wait_until_ready(timeout=30.0)
-            record = client.submit_job(SPEC)
+            record = client.submit_job(CRASH_SPEC)
             # Wait until at least one checkpoint exists (cadence 2 ->
-            # written after generation 2 of 4), then kill -9.
+            # written after generation 2 of 16), then kill -9.
             checkpoint = jobs_dir / "checkpoints" / f"{record['id']}.json"
             deadline = time.monotonic() + 120.0
             while not checkpoint.exists():
@@ -256,7 +263,7 @@ class TestCrashRecovery:
             assert final["state"] == JobState.DONE
             assert final["resumes"] == 1
             assert json.dumps(final["result"]["history"], sort_keys=True) == \
-                json.dumps(reference_history(), sort_keys=True)
+                json.dumps(reference_history(CRASH_SPEC), sort_keys=True)
             assert client.metrics()["jobs"]["resumed"] == 1
         finally:
             proc.terminate()

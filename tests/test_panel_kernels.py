@@ -1,16 +1,20 @@
-"""Kernel selection, bit parity, and degenerate-geometry regressions.
+"""Kernel selection, bit parity, tiling, and degenerate-geometry
+regressions.
 
 The fused kernel's contract is the strongest one NumPy can offer:
 ``tobytes()``-identical to the reference kernel in *both* precisions,
-on random field points and on every system of the serving request mix.
-See ``docs/kernels.md``.
+on random field points, across its row-tile boundaries, and on every
+system of the serving request mix.  See ``docs/kernels.md``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import MAX_PANELS
 from repro.errors import PanelMethodError
 from repro.geometry import naca
 from repro.geometry.airfoil import Airfoil
@@ -95,6 +99,75 @@ class TestFusedBitParity:
             fused = velocity_influence(points, foil, dtype=dtype,
                                        kernel="fused")
             assert fused.tobytes() == reference.tobytes()
+
+
+def tile_rows(n_panels, dtype):
+    """Target rows per tile of the fused kernels' ``(rows, n+1)`` planes."""
+    return kernels_module.TILE_BYTES // (
+        (n_panels + 1) * np.dtype(dtype).itemsize)
+
+
+def tile_points(foil, count, step):
+    """*count* points: control points fill the first tile; after it come
+    the outline's exact panel endpoints, every third swapped for a
+    random field point, so the ``0 * log 0`` guard and the endpoint
+    signed zeros act in later tiles too."""
+    rng = np.random.default_rng(count)
+    head = np.resize(foil.control_points, (min(count, step), 2))
+    tail = np.resize(foil.points, (max(count - step, 0), 2))
+    tail[1::3] = rng.uniform(-3.0, 4.0, size=tail[1::3].shape)
+    return np.concatenate([head, tail])
+
+
+class TestTileBoundaries:
+    """Bit parity when the points do not fill a whole number of tiles."""
+
+    @pytest.mark.parametrize("function",
+                             [stream_influence_matrix, velocity_influence])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n_panels", [40, 200, 1024])
+    def test_partial_and_whole_tiles_match_reference(self, n_panels, dtype,
+                                                     function):
+        foil = naca("2412", n_panels)
+        step = tile_rows(n_panels, dtype)
+        assert step > 1
+        for count in (0, 1, step - 1, step, step + 1, 2 * step + 1):
+            points = tile_points(foil, count, step)
+            reference = function(points, foil, dtype=dtype,
+                                 kernel="reference")
+            fused = function(points, foil, dtype=dtype, kernel="fused")
+            assert fused.shape == reference.shape, count
+            assert fused.tobytes() == reference.tobytes(), count
+
+
+class TestSafeLogOut:
+    def test_masked_entries_forget_the_buffer(self):
+        r_sq = np.array([[0.0, 4.0], [1e-320, 1.0]])
+        out = np.full_like(r_sq, 7.0)
+        result = kernels_module.safe_log_sq(r_sq, np.float64, out=out)
+        assert result is out
+        assert result.tobytes() == kernels_module.safe_log_sq(
+            r_sq, np.float64).tobytes()
+
+
+class TestTileScratch:
+    """The fused kernels hold one tile of scratch, not the full grid.
+
+    At 64 KiB, n=1,024 in float64 runs 7 rows per tile, so its control
+    points take about 150 tiles."""
+
+    @pytest.mark.parametrize("function",
+                             [stream_influence_matrix, velocity_influence])
+    def test_scratch_under_2_mib_at_max_panels(self, function):
+        foil = naca("2412", MAX_PANELS)
+        points = foil.control_points
+        tracemalloc.start()
+        try:
+            result = function(points, foil)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes < 2 * 2 ** 20
 
 
 def near_duplicate_airfoil():

@@ -448,6 +448,26 @@ class TestCLILifecycleFlags:
                      "--timeout", "1e-9"]) == 1
         assert "--timeout" in capsys.readouterr().err
 
+    def test_timeout_judged_by_when_the_analysis_finished(self):
+        # With a long switch interval the waiter regains the GIL only
+        # after the analysis is done; the missed budget must still show.
+        from repro.cli import _analyze_with_timeout
+
+        def run():
+            end = time.perf_counter() + 0.02
+            while time.perf_counter() < end:  # holds the GIL throughout
+                pass
+            return "done"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5.0)
+        try:
+            with pytest.raises(DeadlineExceededError, match="--timeout"):
+                _analyze_with_timeout(run, 1e-9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _analyze_with_timeout(lambda: "done", 60.0) == "done"
+
     def test_analyze_timeout_must_be_positive(self, capsys):
         from repro.cli import main
 
